@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workdir", help="override paths.workdir")
     parser.add_argument("--seed", type=int, help="override the global seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; 1 forces fully deterministic mode")
+                        help="worker threads for encoder training, embedding "
+                        "and KG training; outputs do not depend on it")
     parser.add_argument("--force", action="store_true",
                         help="run even if upstream artifacts look stale")
     parser.add_argument("--quiet", action="store_true",

@@ -68,8 +68,19 @@ def stem_token(word: str) -> str:
     """Apply the inflectional rule table to one lowercase token.
 
     Plural endings are stripped before -ing/-ed so forms like "meanings"
-    reduce in one call; the result is a fixed point of the function.
+    reduce in one pass. A stem left by one pass can still end in a
+    strippable suffix ("aaeding" -> "aaed"), so passes repeat until nothing
+    changes; each changing pass shortens the word, and the result is a
+    fixed point of the function.
     """
+    stem = _stem_pass(word)
+    while (shorter := _stem_pass(stem)) != stem:
+        stem = shorter
+    return stem
+
+
+def _stem_pass(word: str) -> str:
+    """One application of the rule table."""
     w = word
     if w.endswith("sses"):
         w = w[:-2]

@@ -224,13 +224,6 @@ def triplet_loss_grads(q, d_pos, negatives, margin):
     return loss, g_q, g_pos, g_negs
 
 
-def _normalize_backward(grad_out: np.ndarray, out: np.ndarray, norm: float) -> np.ndarray:
-    """Backprop through v -> v/||v||; ``out`` is the normalized vector."""
-    if norm < 1e-12:
-        return np.zeros_like(grad_out)
-    return (grad_out - out * np.dot(out, grad_out)) / norm
-
-
 def _encode_batch(table: np.ndarray, ids_list: list[np.ndarray]):
     """Vectorized forward pass over many token-id arrays.
 

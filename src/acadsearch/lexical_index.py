@@ -180,7 +180,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     magic 'LIDX' | u32 version | u32 doc_count | u32 term_count
     doc table: per doc, u16 id length + utf-8 id + u32 token length
     term table: per term, u16 term length + utf-8 term + u32 df
-                + df * (u32 ordinal, u32 tf)
+                + df * u32 ordinal + df * u32 tf (all ordinals, then all tfs)
     """
     path = Path(path)
     with open(path, "wb") as fh:

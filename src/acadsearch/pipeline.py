@@ -33,7 +33,7 @@ from .kg_embed import (KGTrainConfig, load_kg_embeddings, save_kg_embeddings,
 from .lexical_index import (BM25Params, build_index, load_index, retrieve_topk,
                             save_index, tokenize)
 from .user_models import (AggregationMode, attention_user_score,
-                          build_user_contexts, kg_user_score, mean_user_vector,
+                          build_user_contexts, kg_user_scores, mean_user_vector,
                           self_citation_score)
 
 log = logging.getLogger(__name__)
@@ -520,7 +520,9 @@ class Pipeline:
             {"index": self.workdir / "index" / "index.bin",
              "encoder": self.workdir / "dense" / "encoder.bin",
              "embeddings": self.workdir / "embed" / "doc_embeddings.bin",
-             "splits": self.workdir / "splits" / "split.json"},
+             "splits": self.workdir / "splits" / "split.json",
+             "val_queries": self.workdir / "splits" / "val_queries.jsonl",
+             "test_queries": self.workdir / "splits" / "test_queries.jsonl"},
             [out / "val_candidates.jsonl", out / "test_candidates.jsonl"], started)
         log.info("score: candidate lists written for val and test")
 
@@ -544,17 +546,13 @@ class Pipeline:
         if channel == "none":
             return [0.0] * len(doc_ids)
         if channel == "kg":
-            emb = resources["kg_emb"]
-            mode = AggregationMode(self.cfg["fusion"]["aggregation"])
-            metric = self.cfg["fusion"]["user_metric"]
-            column: list[float | None] = []
-            for d in doc_ids:
-                score, known = kg_user_score(emb, record["user_id"],
-                                             corpus.get(d).author_ids, mode,
-                                             metric=metric)
-                if not known:
-                    return [0.0] * len(doc_ids)
-                column.append(score)
+            column, known = kg_user_scores(
+                resources["kg_emb"], record["user_id"],
+                [corpus.get(d).author_ids for d in doc_ids],
+                AggregationMode(self.cfg["fusion"]["aggregation"]),
+                metric=self.cfg["fusion"]["user_metric"])
+            if not known:
+                return column
             present = [s for s in column if s is not None]
             floor = min(present) if present else 0.0
             return [floor if s is None else s for s in column]
@@ -581,8 +579,8 @@ class Pipeline:
                     for d in doc_ids]
         if channel == "attention":
             q_vec = resources["encoder"].encode(record["text"])
-            return [attention_user_score(q_vec, ctx, store, corpus.ordinal(d))
-                    for d in doc_ids]
+            return attention_user_score(q_vec, ctx, store,
+                                        [corpus.ordinal(d) for d in doc_ids])
         raise ConfigError(f"unknown user channel {channel!r}")
 
     def _channel_resources(self, corpus, channel: str,
@@ -662,7 +660,8 @@ class Pipeline:
             json.dumps(lambdas, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         self._write_manifest(
             out, "tune",
-            {"candidates": self.workdir / "score" / "val_candidates.jsonl"},
+            {"candidates": self.workdir / "score" / "val_candidates.jsonl",
+             "qrels": self.workdir / "splits" / "val_qrels.txt"},
             [out / "lambdas.json"], started)
 
     def stage_eval(self) -> None:
@@ -727,6 +726,7 @@ class Pipeline:
         self._write_manifest(
             out, "eval",
             {"candidates": self.workdir / "score" / "test_candidates.jsonl",
+             "qrels": self.workdir / "splits" / "test_qrels.txt",
              "lambdas": self.workdir / "tune" / "lambdas.json"},
             outputs + [out / "metrics.json", out / "report.txt"], started)
         log.info("eval:\n%s", table)
@@ -824,6 +824,8 @@ class Pipeline:
             out, "ablate",
             {"val": self.workdir / "score" / "val_candidates.jsonl",
              "test": self.workdir / "score" / "test_candidates.jsonl",
+             "val_qrels": self.workdir / "splits" / "val_qrels.txt",
+             "test_qrels": self.workdir / "splits" / "test_qrels.txt",
              "embeddings": self.workdir / "embed" / "doc_embeddings.bin"},
             [out / "ablation.txt", out / "ablation.json"], started)
         log.info("ablate:\n%s", table)

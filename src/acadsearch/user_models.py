@@ -45,44 +45,62 @@ def build_user_contexts(corpus: Corpus, cutoff_year: int) -> dict[str, UserConte
             for u, docs in authored.items()}
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+def kg_user_scores(embeddings: KGEmbeddings, query_user_id: str,
+                   candidates_author_ids: list[list[str]],
+                   mode: AggregationMode = AggregationMode.MAX,
+                   metric: str = "cosine") -> tuple[list[float | None], bool]:
+    """Similarity between the query user's entity vector and each candidate's authors.
+
+    Returns (scores, known). An unknown query user yields all zeros and
+    False; a candidate with no catalogued authors scores None and the caller
+    substitutes the per-query floor. ``metric`` is cosine by default, with
+    negative euclidean distance as the alternative. Each author is scored
+    once per query.
+    """
+    if metric not in ("cosine", "neg_l2"):
+        raise ValueError(f"unknown user-score metric {metric!r}")
+    catalog = embeddings.catalog
+    if (EntityKind.USER, query_user_id) not in catalog:
+        return [0.0] * len(candidates_author_ids), False
+    q_vec = embeddings.entities[catalog.ordinal(EntityKind.USER, query_user_id)]
+    q_norm = np.linalg.norm(q_vec)
+    author_sims: dict[str, float | None] = {}
+
+    def similarity(author: str) -> float | None:
+        if author in author_sims:
+            return author_sims[author]
+        sim = None
+        if (EntityKind.USER, author) in catalog:
+            a_vec = embeddings.entities[catalog.ordinal(EntityKind.USER, author)]
+            if metric == "neg_l2":
+                sim = -float(np.linalg.norm(q_vec - a_vec))
+            else:
+                a_norm = np.linalg.norm(a_vec)
+                sim = (0.0 if q_norm < 1e-12 or a_norm < 1e-12
+                       else float(np.dot(q_vec, a_vec) / (q_norm * a_norm)))
+        author_sims[author] = sim
+        return sim
+
+    scores: list[float | None] = []
+    for author_ids in candidates_author_ids:
+        sims = [s for s in map(similarity, author_ids) if s is not None]
+        if not sims:
+            scores.append(None)
+        elif mode == AggregationMode.MAX:
+            scores.append(max(sims))
+        else:
+            scores.append(float(np.mean(sims)))
+    return scores, True
 
 
 def kg_user_score(embeddings: KGEmbeddings, query_user_id: str,
                   candidate_author_ids: list[str],
                   mode: AggregationMode = AggregationMode.MAX,
                   metric: str = "cosine") -> tuple[float | None, bool]:
-    """Similarity between the query user's entity vector and candidate authors.
-
-    Returns (score, known). An unknown query user yields (0.0, False); a
-    candidate with no catalogued authors yields (None, True) and the caller
-    substitutes the per-query floor. ``metric`` is cosine by default, with
-    negative euclidean distance as the alternative.
-    """
-    if metric not in ("cosine", "neg_l2"):
-        raise ValueError(f"unknown user-score metric {metric!r}")
-    catalog = embeddings.catalog
-    if (EntityKind.USER, query_user_id) not in catalog:
-        return 0.0, False
-    q_vec = embeddings.entities[catalog.ordinal(EntityKind.USER, query_user_id)]
-    sims = []
-    for a in candidate_author_ids:
-        if (EntityKind.USER, a) not in catalog:
-            continue
-        a_vec = embeddings.entities[catalog.ordinal(EntityKind.USER, a)]
-        if metric == "cosine":
-            sims.append(_cosine(q_vec, a_vec))
-        else:
-            sims.append(-float(np.linalg.norm(q_vec - a_vec)))
-    if not sims:
-        return None, True
-    agg = max(sims) if mode == AggregationMode.MAX else float(np.mean(sims))
-    return agg, True
+    """``kg_user_scores`` for a single candidate: (score, known)."""
+    scores, known = kg_user_scores(embeddings, query_user_id,
+                                   [candidate_author_ids], mode, metric)
+    return scores[0], known
 
 
 def mean_user_vector(doc_store: DocEmbeddingStore, context: UserContext
@@ -99,16 +117,21 @@ def mean_user_vector(doc_store: DocEmbeddingStore, context: UserContext
 
 def attention_user_score(q_vec: np.ndarray, context: UserContext,
                          doc_store: DocEmbeddingStore,
-                         candidate_ordinal: int) -> float:
-    """Query-aware profile: softmax((q . d_i)/sqrt(dim)) over authored docs."""
+                         candidate_ordinals: list[int]) -> list[float]:
+    """Query-aware profile: softmax((q . d_i)/sqrt(dim)) over authored docs.
+
+    The profile is built once per query; each candidate scores its cosine
+    with it, and every candidate scores 0.0 when the profile is undefined.
+    """
     weights = attention_weights(q_vec, context, doc_store)
     if weights is None:
-        return 0.0
+        return [0.0] * len(candidate_ordinals)
     profile = weights @ doc_store.vectors[context.authored]
     norm = np.linalg.norm(profile)
     if norm < 1e-12:
-        return 0.0
-    return float(np.dot(profile / norm, doc_store.vectors[candidate_ordinal]))
+        return [0.0] * len(candidate_ordinals)
+    unit = profile / norm
+    return [float(np.dot(unit, doc_store.vectors[o])) for o in candidate_ordinals]
 
 
 def attention_weights(q_vec: np.ndarray, context: UserContext,

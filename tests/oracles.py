@@ -90,3 +90,70 @@ def central_difference(fn, args, arg_index, h=1e-5):
 def relative_error(numeric, analytic):
     scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
     return np.abs(numeric - analytic).max() / scale
+
+
+# --- one-item-at-a-time forms of the array-shaped query path ---------------------
+
+def naive_grid_map(prepared, weights, k=100):
+    """MAP@k at one lattice point: one argsort and one AP sum per query."""
+    values = []
+    for norm, rel_mask, n_rel in prepared:
+        fused = norm @ weights
+        order = np.argsort(-fused, kind="stable")
+        rel_sorted = rel_mask[order][:k]
+        hits = np.cumsum(rel_sorted)
+        ranks = np.arange(1, len(rel_sorted) + 1)
+        ap = float((hits[rel_sorted] / ranks[rel_sorted]).sum()) / min(n_rel, k)
+        values.append(ap)
+    return float(np.mean(values)) if values else 0.0
+
+
+def naive_significance_test(metrics_a, metrics_b, permutations, seed):
+    """Paired randomization test with one sign draw per permutation."""
+    diffs = np.asarray(metrics_a, dtype=np.float64) - np.asarray(metrics_b,
+                                                                 dtype=np.float64)
+    observed = abs(diffs.mean())
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(permutations):
+        signs = rng.integers(0, 2, size=len(diffs)) * 2 - 1
+        if abs((signs * diffs).mean()) >= observed - 1e-12:
+            hits += 1
+    return (hits + 1) / (permutations + 1)
+
+
+def naive_attention_user_score(q_vec, authored_rows, candidate_row):
+    """Softmax-weighted profile of the authored rows, rebuilt per candidate."""
+    if len(authored_rows) == 0:
+        return 0.0
+    logits = authored_rows @ q_vec / np.sqrt(authored_rows.shape[1])
+    logits -= logits.max()
+    exp = np.exp(logits)
+    profile = (exp / exp.sum()) @ authored_rows
+    norm = np.linalg.norm(profile)
+    if norm < 1e-12:
+        return 0.0
+    return float(np.dot(profile / norm, candidate_row))
+
+
+def naive_kg_user_score(vectors, query_user_id, candidate_author_ids,
+                        use_max=True, metric="cosine"):
+    """(score, known) for one candidate; ``vectors`` maps user id -> vector."""
+    if query_user_id not in vectors:
+        return 0.0, False
+    q_vec = vectors[query_user_id]
+    sims = []
+    for a in candidate_author_ids:
+        if a not in vectors:
+            continue
+        a_vec = vectors[a]
+        if metric == "cosine":
+            na = np.linalg.norm(q_vec)
+            nb = np.linalg.norm(a_vec)
+            sims.append(0.0 if na < 1e-12 or nb < 1e-12
+                        else float(np.dot(q_vec, a_vec) / (na * nb)))
+        else:
+            sims.append(-float(np.linalg.norm(q_vec - a_vec)))
+    if not sims:
+        return None, True
+    return (max(sims) if use_max else float(np.mean(sims))), True

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from acadsearch import fusion_eval
 from acadsearch.corpus.model import QrelSet
 from acadsearch.errors import ConfigError, DataFormatError
 from acadsearch.fusion_eval import (CandidateList, Lambdas, RunFile,
@@ -10,7 +14,8 @@ from acadsearch.fusion_eval import (CandidateList, Lambdas, RunFile,
                                     normalize_channels, read_run,
                                     run_from_rankings, significance_test,
                                     tune_lambdas, write_run)
-from oracles import naive_map_at_k, naive_mrr_at_k, naive_ndcg_at_k
+from oracles import (naive_grid_map, naive_map_at_k, naive_mrr_at_k,
+                     naive_ndcg_at_k, naive_significance_test)
 
 
 def test_lambdas_validation():
@@ -152,10 +157,64 @@ def test_tune_lambdas_constant_user_channel_changes_nothing():
             qrels.add(f"q{qi}", doc_ids[j])
     lam, _ = tune_lambdas(lists, qrels, step=0.25)
     lam_zeroed, _ = tune_lambdas(lists, qrels, step=0.25, fix_user_zero=True)
-    from acadsearch.fusion_eval import _grid_map, _prepare_arrays
-    prepared = _prepare_arrays(lists, qrels)
-    assert _grid_map(prepared, lam) == pytest.approx(
-        _grid_map(prepared, lam_zeroed), abs=1e-12)
+    prepared = fusion_eval._prepare_arrays(lists, qrels)
+    assert naive_grid_map(prepared, lam.as_array()) == pytest.approx(
+        naive_grid_map(prepared, lam_zeroed.as_array()), abs=1e-12)
+
+
+@st.composite
+def validation_queries(draw):
+    """Candidate lists and qrels: continuous or few-level (tied) channel
+    scores, an optionally constant user channel, few to all candidates
+    relevant, and lists longer than the AP cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.sampled_from([None, 2, 4]))
+    constant_user = draw(st.booleans())
+    lists, qrels = [], QrelSet()
+    for qi in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 140))
+        scores = rng.random((n, 3))
+        if levels is not None:
+            scores = np.floor(scores * levels)
+        if constant_user:
+            scores[:, 2] = 0.5
+        doc_ids = [f"q{qi}d{j:03d}" for j in rng.permutation(n)]
+        lists.append(CandidateList(f"q{qi}", doc_ids, scores))
+        n_rel = draw(st.integers(1, n))
+        for j in rng.choice(n, size=n_rel, replace=False):
+            qrels.add(f"q{qi}", doc_ids[j])
+        for extra in range(draw(st.integers(0, 2))):
+            qrels.add(f"q{qi}", f"q{qi}-unretrieved{extra}")
+    return lists, qrels
+
+
+@settings(max_examples=60, deadline=None)
+@given(validation_queries(), st.sampled_from([0.05, 0.1, 0.25]),
+       st.sampled_from([100, 10]), st.sampled_from([512, 150, 1]))
+def test_grid_maps_match_per_point_oracle(queries, step, k, block_rows):
+    """Every lattice point's MAP equals the one-point-at-a-time loop exactly,
+    across ties, constant user channels, queries with 8 or more hits in the
+    top k (where numpy's 1-D sum stops adding in sequence) and any blocking."""
+    lists, qrels = queries
+    prepared = fusion_eval._prepare_arrays(lists, qrels)
+    weights = [lam.as_array() for lam in lambda_grid(step)]
+    with mock.patch.object(fusion_eval, "_GRID_ROWS", block_rows):
+        batched = fusion_eval._grid_maps(prepared, weights, k).tolist()
+    assert batched == [naive_grid_map(prepared, w, k) for w in weights]
+
+
+def test_grid_maps_match_oracle_beyond_pairwise_blocks():
+    """Over 128 queries the mean over queries sums pairwise in blocks."""
+    rng = np.random.default_rng(11)
+    prepared = []
+    for _ in range(300):
+        n = int(rng.integers(2, 101))
+        rel_mask = rng.random(n) < 0.5
+        rel_mask[0] = True
+        prepared.append((rng.random((n, 3)), rel_mask, int(rel_mask.sum())))
+    weights = [lam.as_array() for lam in lambda_grid(0.05)]
+    assert (fusion_eval._grid_maps(prepared, weights).tolist()
+            == [naive_grid_map(prepared, w) for w in weights])
 
 
 def test_tune_lambdas_matches_exhaustive_reevaluation():
@@ -216,6 +275,23 @@ def test_significance_examples():
     assert p1 == p2
     with pytest.raises(ValueError):
         significance_test([1.0], [1.0, 2.0])
+
+
+metric_values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(metric_values, metric_values), min_size=1,
+                max_size=90),
+       st.integers(1, 2500), st.integers(0, 2 ** 16))
+@example([(1.0, 0.0)] * 81, 1000, 7)
+@example([(0.5, 0.25), (0.25, 0.5), (1.0, 1.0)], 7, 0)
+def test_significance_matches_per_permutation_oracle(pairs, permutations, seed):
+    """Chunked sign draws give the per-permutation p-value exactly, for odd
+    lengths and permutation counts below, above and between chunk sizes."""
+    a, b = zip(*pairs)
+    assert (significance_test(a, b, permutations, seed)
+            == naive_significance_test(a, b, permutations, seed))
 
 
 def test_run_file_roundtrip(tmp_path):

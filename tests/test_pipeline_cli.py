@@ -100,6 +100,34 @@ def test_stale_artifact_detection(tiny_run, tmp_path):
     Pipeline(cfg).stage_index()
 
 
+def test_cli_edited_queries_make_score_stale(tiny_run, tmp_path, capsys):
+    """Every split file a query stage reads is hashed into its manifest."""
+    import shutil
+    _, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    cfg_path = tmp_path / "cfg.json"
+    overrides = json.loads(json.dumps(TINY))
+    overrides["paths"] = {"workdir": str(workdir)}
+    cfg_path.write_text(json.dumps(overrides))
+    queries = workdir / "splits" / "val_queries.jsonl"
+    lines = queries.read_text().splitlines(keepends=True)
+    queries.write_text("".join(lines[1:]))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "tune"]) == 2
+    err = capsys.readouterr().err
+    assert "val_queries.jsonl" in err and "re-run `score`" in err
+    for stage in ("score", "tune", "eval", "ablate"):
+        manifest = json.loads((workdir / stage / "manifest.json").read_text())
+        split_inputs = {p for p in manifest["inputs"] if p.startswith("splits/")}
+        expected = {"score": {"splits/split.json", "splits/val_queries.jsonl",
+                              "splits/test_queries.jsonl"},
+                    "tune": {"splits/val_qrels.txt"},
+                    "eval": {"splits/test_qrels.txt"},
+                    "ablate": {"splits/val_qrels.txt", "splits/test_qrels.txt"}}
+        assert split_inputs == expected[stage], stage
+
+
 def test_stage_isolation_downstream_delete(tiny_run):
     cfg, workdir = tiny_run
     metrics_before = (workdir / "eval" / "metrics.json").read_bytes()

@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from acadsearch.corpus.text import STOPWORDS, make_query, stem_token
 from acadsearch.lexical_index import tokenize
@@ -62,6 +62,7 @@ def test_stemmer_is_idempotent_on_rule_table_outputs():
 
 
 @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12))
+@example("aaeding")
 def test_stemmer_idempotent_property(word):
     assert stem_token(stem_token(word)) == stem_token(word)
 

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acadsearch.corpus.model import Author, Corpus, Document
 from acadsearch.dense_encoder import DocEmbeddingStore
@@ -8,11 +11,12 @@ from acadsearch.kg_embed import KGEmbeddings, KGTrainConfig, init_embeddings
 from acadsearch.user_models import (AggregationMode, UserContext,
                                     attention_user_score, attention_weights,
                                     build_user_contexts, kg_user_score,
-                                    mean_user_vector, self_citation_score)
+                                    kg_user_scores, mean_user_vector,
+                                    self_citation_score)
+from oracles import naive_attention_user_score, naive_kg_user_score
 
 
-@pytest.fixture
-def kg_embeddings():
+def _make_kg_embeddings():
     docs = [Document(f"d{i}", "t", "a", [f"u{i % 4}"], None, 2000 + i, [])
             for i in range(5)]
     authors = [Author(f"u{i}", None) for i in range(4)]
@@ -22,6 +26,20 @@ def kg_embeddings():
     rng = np.random.default_rng(0)
     store = DocEmbeddingStore(rng.normal(size=(5, 8)))
     emb = init_embeddings(catalog, store, KGTrainConfig(model="transe", seed=2))
+    return emb
+
+
+@pytest.fixture
+def kg_embeddings():
+    return _make_kg_embeddings()
+
+
+@lru_cache(maxsize=1)
+def _shared_kg_embeddings():
+    """One instance for property tests, which must not modify it."""
+    emb = _make_kg_embeddings()
+    from acadsearch.kg_builder import EntityKind
+    emb.entities[emb.catalog.ordinal(EntityKind.USER, "u3")] = 0.0
     return emb
 
 
@@ -116,8 +134,8 @@ def test_attention_weights_and_score():
     one = UserContext("u", [3], frozenset())
     w = attention_weights(q, one, store)
     assert np.allclose(w, [1.0])
-    assert attention_user_score(q, one, store, 5) == pytest.approx(
-        float(np.dot(store.row(3), store.row(5))), abs=1e-12)
+    assert attention_user_score(q, one, store, [5]) == pytest.approx(
+        [float(np.dot(store.row(3), store.row(5)))], abs=1e-12)
 
     ctx = UserContext("u", [0, 1, 2, 4], frozenset())
     w = attention_weights(q, ctx, store)
@@ -133,14 +151,14 @@ def test_attention_identical_docs_ignore_query():
     ctx = UserContext("u", [0, 1, 2, 3], frozenset())
     for seed in (0, 1):
         q = np.random.default_rng(seed).normal(size=8)
-        score = attention_user_score(q, ctx, store, 4)
+        [score] = attention_user_score(q, ctx, store, [4])
         assert score == pytest.approx(0.0, abs=1e-12)
 
 
 def test_attention_empty_context_falls_back():
     store = DocEmbeddingStore(np.eye(4))
     assert attention_user_score(np.ones(4), UserContext("u", [], frozenset()),
-                                store, 0) == 0.0
+                                store, [0, 1]) == [0.0, 0.0]
 
 
 def test_self_citation():
@@ -176,3 +194,53 @@ def test_missing_user_constant_channel_neutrality():
     without = fuse(Lambdas(0.5, 0.5, 0.0), CandidateList("q", doc_ids,
                                                          zero_user))
     assert [d for d, _ in with_user] == [d for d, _ in without]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["u0", "u1", "u3", "stranger"]),
+       st.lists(st.lists(st.sampled_from(["u0", "u1", "u2", "u3", "ghost"]),
+                         max_size=4), max_size=8),
+       st.sampled_from(list(AggregationMode)),
+       st.sampled_from(["cosine", "neg_l2"]))
+def test_kg_user_scores_match_per_candidate_oracle(query_user, author_lists,
+                                                   mode, metric):
+    """Scoring a query's candidates at once equals scoring each alone,
+    including unknown, repeated and zero-vector (u3) authors."""
+    from acadsearch.kg_builder import EntityKind
+    emb = _shared_kg_embeddings()
+    vectors = {u: emb.entities[emb.catalog.ordinal(EntityKind.USER, u)]
+               for u in ("u0", "u1", "u2", "u3")}
+    expected = [naive_kg_user_score(vectors, query_user, authors,
+                                    mode == AggregationMode.MAX, metric)
+                for authors in author_lists]
+    scores, known = kg_user_scores(emb, query_user, author_lists, mode, metric)
+    assert known == (query_user in vectors)
+    if known:
+        assert scores == [score for score, _ in expected]
+    else:
+        assert scores == [0.0] * len(author_lists)
+    for authors, (score, was_known) in zip(author_lists, expected):
+        assert kg_user_score(emb, query_user, authors, mode, metric) == (
+            score, was_known)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 6),
+       st.data())
+def test_attention_user_score_matches_per_candidate_oracle(seed, n_docs, dim,
+                                                           data):
+    """One profile per query gives every candidate the per-candidate score,
+    including empty contexts, zero rows and cancelling profiles."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n_docs, dim))
+    vectors[rng.random(n_docs) < 0.2] = 0.0
+    store = DocEmbeddingStore(vectors)
+    ordinals = st.integers(0, n_docs - 1)
+    authored = data.draw(st.lists(ordinals, max_size=5))
+    candidates = data.draw(st.lists(ordinals, max_size=10))
+    q_vec = rng.normal(size=dim)
+    ctx = UserContext("u", authored, frozenset())
+    expected = [naive_attention_user_score(q_vec, store.vectors[authored],
+                                           store.vectors[o])
+                for o in candidates]
+    assert attention_user_score(q_vec, ctx, store, candidates) == expected
