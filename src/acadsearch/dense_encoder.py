@@ -11,9 +11,12 @@ Training minimizes, per (query, positive) pair,
     sum over negatives of max(||q - d+|| - ||q - d-|| + margin, 0)
 
 with negatives taken from the other positives in the same batch, optimized
-by AdamW. Runs are bit-reproducible for a fixed seed at any thread count:
-with threads > 1 the encode work is chunked across a pool and merged in a
-fixed order.
+by AdamW. A step sums token gradients for the buckets its batch touched
+only, into one zeroed buffer kept for the whole run, and the optimizer walks
+the table in cache-sized blocks; both do the arithmetic of a full-table
+step in the same order, so the trained table is the same bit for bit. Runs
+are bit-reproducible for a fixed seed at any thread count: with threads > 1
+the encode work is chunked across a pool and merged in a fixed order.
 """
 from __future__ import annotations
 
@@ -276,6 +279,7 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
             doc_ids_cache[o] = encoder.bucket_ids(doc_texts[o])
     opt = AdamW(encoder.table.shape, lr=lr, weight_decay=weight_decay,
                 dtype=encoder.table.dtype)
+    grad_buf = np.zeros_like(encoder.table)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     n = len(pairs)
     losses: list[float] = []
@@ -289,7 +293,8 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
                     continue
                 q_ids = [query_ids[i] for i in batch]
                 p_ids = [doc_ids_cache[pairs[i][1]] for i in batch]
-                loss = _encoder_step(encoder.table, q_ids, p_ids, margin, opt, pool)
+                loss = _encoder_step(encoder.table, grad_buf, q_ids, p_ids,
+                                     margin, opt, pool)
                 epoch_losses.append(loss)
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
             losses.append(mean_loss)
@@ -301,7 +306,8 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
     return losses
 
 
-def _encoder_step(table, q_ids, p_ids, margin, opt, pool) -> float:
+def _encoder_step(table, grad_buf, q_ids, p_ids, margin, opt, pool) -> float:
+    """One AdamW step on a batch; ``grad_buf`` is all zeros before and after."""
     b = len(q_ids)
     dim = table.shape[1]
     ids_list = q_ids + p_ids
@@ -347,13 +353,15 @@ def _encoder_step(table, q_ids, p_ids, margin, opt, pool) -> float:
         0.0)
     grad_vecs /= np.maximum(lengths, 1)[:, None]
     per_token = np.repeat(grad_vecs[lengths > 0], lengths[lengths > 0], axis=0)
-    grad_table = np.zeros_like(table)
-    if len(all_ids):
-        flat = (all_ids[:, None] * dim + np.arange(dim)).ravel()
-        grad_table = np.bincount(flat, weights=per_token.ravel(),
-                                 minlength=table.size
-                                 ).reshape(table.shape).astype(table.dtype)
-    opt.step(table, grad_table)
+    # Sum per touched bucket only: each bucket's tokens still add in token
+    # order from 0.0, and assigning into the f32 buffer rounds as a cast would.
+    touched, slot = np.unique(all_ids, return_inverse=True)
+    flat = (slot[:, None] * dim + np.arange(dim)).ravel()
+    grad_buf[touched] = np.bincount(flat, weights=per_token.ravel(),
+                                    minlength=len(touched) * dim
+                                    ).reshape(len(touched), dim)
+    opt.step(table, grad_buf)
+    grad_buf[touched] = 0.0
     return loss
 
 

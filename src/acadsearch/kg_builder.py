@@ -49,6 +49,10 @@ RELATION_SIGNATURE: dict[RelationType, tuple[EntityKind, EntityKind]] = {
 
 RELATION_ORDER = tuple(RelationType)
 
+# value -> member, for parsing without an Enum call per field
+_KIND_BY_VALUE = {kind.value: kind for kind in EntityKind}
+_RELATION_BY_VALUE = {rel.value: rel for rel in RelationType}
+
 
 class Triple(NamedTuple):
     head: int
@@ -232,6 +236,13 @@ def save_triples(triples: list[Triple], catalog: EntityCatalog,
             fh.write(f"{hk.value}:{hid}\t{t.relation.value}\t{tk.value}:{tid}\n")
 
 
+def _parse(members: dict, value: str, what: str):
+    try:
+        return members[value]
+    except KeyError:
+        raise ValueError(f"unknown {what} {value!r}") from None
+
+
 def load_triples(path: str | Path, catalog: EntityCatalog) -> list[Triple]:
     triples: list[Triple] = []
     with open(path, encoding="utf-8") as fh:
@@ -246,10 +257,10 @@ def load_triples(path: str | Path, catalog: EntityCatalog) -> list[Triple]:
             try:
                 hk, hid = parts[0].split(":", 1)
                 tk, tid = parts[2].split(":", 1)
-                triple = Triple(catalog.ordinal(EntityKind(hk), hid),
-                                RelationType(parts[1]),
-                                catalog.ordinal(EntityKind(tk), tid))
+                head = catalog.ordinal(_parse(_KIND_BY_VALUE, hk, "entity kind"), hid)
+                relation = _parse(_RELATION_BY_VALUE, parts[1], "relation")
+                tail = catalog.ordinal(_parse(_KIND_BY_VALUE, tk, "entity kind"), tid)
             except (ValueError, KeyError) as exc:
                 raise DataFormatError(f"{path}: bad triple on line {lineno}: {exc}") from None
-            triples.append(triple)
+            triples.append(Triple(head, relation, tail))
     return triples

@@ -70,7 +70,7 @@ DEFAULT_CONFIG: dict = {
         # full-scale reference: 100 epochs at batch 16384, same learning rate
         "model": "transh", "margin": 1.0, "lr": 1e-3, "epochs": 50,
         "batch_size": 4096, "negatives": 1, "constraint_weight": 0.25,
-        "constraint_eps": 1e-3, "weight_decay": 0.01, "corruption": "uniform",
+        "constraint_eps": 1e-3, "weight_decay": 0.01,
     },
     "fusion": {"grid_step": 0.05, "user_channel": "kg", "aggregation": "max",
                "user_metric": "cosine", "include_transe": True},

@@ -157,3 +157,177 @@ def naive_kg_user_score(vectors, query_user_id, candidate_author_ids,
     if not sims:
         return None, True
     return (max(sims) if use_max else float(np.mean(sims))), True
+
+
+# --- unblocked forms of the training steps ----------------------------------------
+# Each operation runs once over the whole array, with a fresh temporary where
+# the expression needs one; the blocked library forms must match them bit
+# for bit.
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bit pattern (so -0.0 differs from 0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    uint = np.dtype(f"u{a.dtype.itemsize}")
+    return np.array_equal(a.view(uint), b.view(uint))
+
+
+class NaiveAdamW:
+    """AdamW with whole-array operations."""
+
+    def __init__(self, shape, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.01, dtype=np.float64):
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.m = np.zeros(shape, dtype=dtype)
+        self.v = np.zeros(shape, dtype=dtype)
+        self.t = 0
+        self._scratch = np.empty(shape, dtype=dtype)
+
+    def step(self, param, grad):
+        self.t += 1
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        np.multiply(grad, grad, out=self._scratch)
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * self._scratch
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=self._scratch)
+        np.sqrt(self._scratch, out=self._scratch)
+        self._scratch += self.eps
+        np.divide(self.m, (1.0 - self.beta1 ** self.t) * self._scratch,
+                  out=self._scratch)
+        if self.weight_decay:
+            self._scratch += self.weight_decay * param
+        self._scratch *= self.lr
+        param -= self._scratch
+
+
+def naive_encoder_step(table, q_ids, p_ids, margin, opt):
+    """Triplet step with a scatter into a fresh full-table gradient."""
+    from acadsearch.dense_encoder import _encode_batch
+
+    b = len(q_ids)
+    dim = table.shape[1]
+    vecs, norms, all_ids, lengths = _encode_batch(table, q_ids + p_ids)
+    Q, P = vecs[:b], vecs[b:]
+    diff = Q[:, None, :] - P[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    pos = np.diag(dist)
+    hinge = pos[:, None] - dist + margin
+    np.fill_diagonal(hinge, 0.0)
+    active = hinge > 0.0
+    loss = float(hinge[active].sum() / b)
+    safe = np.where(dist > 1e-12, dist, 1.0)
+    unit = diff / safe[:, :, None]
+    counts = active.sum(axis=1) / b
+    w = active.astype(np.float64) / b
+    pos_unit = unit[np.arange(b), np.arange(b)]
+    grad_q = counts[:, None] * pos_unit - np.einsum("ij,ijd->id", w, unit)
+    grad_p = -counts[:, None] * pos_unit + np.einsum("ij,ijd->jd", w, unit)
+    grad_vecs = np.vstack([grad_q, grad_p])
+    ok = norms > 1e-12
+    inner = np.einsum("ij,ij->i", vecs, grad_vecs)
+    grad_vecs = np.where(
+        ok[:, None],
+        (grad_vecs - vecs * inner[:, None]) / np.where(ok, norms, 1.0)[:, None],
+        0.0)
+    grad_vecs /= np.maximum(lengths, 1)[:, None]
+    per_token = np.repeat(grad_vecs[lengths > 0], lengths[lengths > 0], axis=0)
+    grad_table = np.zeros_like(table)
+    if len(all_ids):
+        flat = (all_ids[:, None] * dim + np.arange(dim)).ravel()
+        grad_table = np.bincount(flat, weights=per_token.ravel(),
+                                 minlength=table.size
+                                 ).reshape(table.shape).astype(table.dtype)
+    opt.step(table, grad_table)
+    return loss
+
+
+def naive_kg_step(emb, config, bh, br, bt, nh, nt, valid,
+                  opt_pre, opt_post, opt_rel, opt_w):
+    """Margin-ranking step with every row-local expression over the batch."""
+    from acadsearch.kg_embed import N_RELATIONS, transh_constraint_grads
+
+    ent = emb.entities
+    dim = emb.dim
+    doc_lo, doc_hi = emb.frozen_range
+    total = ent.shape[0]
+    scale = 1.0 / int(valid.sum())
+    rel_t = emb.rel_translations
+
+    def residuals(h_idx, t_idx, r_idx):
+        h = ent[h_idx]
+        t = ent[t_idx]
+        if config.model == "transe":
+            u = h + rel_t[r_idx] - t
+            return np.linalg.norm(u, axis=1), u, None
+        w = emb.rel_normals[r_idx]
+        a = h - t
+        wa = np.einsum("ij,ij->i", w, a)
+        u = a + rel_t[r_idx] - wa[:, None] * w
+        return np.linalg.norm(u, axis=1), u, (a, wa, w)
+
+    d_pos, u_pos, extras_pos = residuals(bh, bt, br)
+    d_neg, u_neg, extras_neg = residuals(nh, nt, br)
+    hinge = config.margin + d_pos - d_neg
+    active = (hinge > 0.0) & valid
+    loss = float(hinge[active].sum() * scale)
+    if not active.any():
+        return 0.0
+    safe_pos = np.where(d_pos > 1e-12, d_pos, 1.0)
+    safe_neg = np.where(d_neg > 1e-12, d_neg, 1.0)
+    g_pos = np.where(active, scale, 0.0)[:, None] * u_pos / safe_pos[:, None]
+    g_neg = np.where(active, scale, 0.0)[:, None] * u_neg / safe_neg[:, None]
+
+    def rel_scatter(rows):
+        flat = (br[:, None] * dim + np.arange(dim)).ravel()
+        return np.bincount(flat, weights=rows.ravel(),
+                           minlength=N_RELATIONS * dim).reshape(N_RELATIONS, dim)
+
+    grad_rel = rel_scatter(g_pos - g_neg)
+    if config.model == "transe":
+        ent_contribs = [(bh, g_pos), (bt, -g_pos), (nh, -g_neg), (nt, g_neg)]
+    else:
+        a_pos, wa_pos, w = extras_pos
+        a_neg, wa_neg, _ = extras_neg
+        gw_pos = np.einsum("ij,ij->i", g_pos, w)
+        gw_neg = np.einsum("ij,ij->i", g_neg, w)
+        gh_pos = g_pos - gw_pos[:, None] * w
+        gh_neg = g_neg - gw_neg[:, None] * w
+        ent_contribs = [(bh, gh_pos), (bt, -gh_pos), (nh, -gh_neg), (nt, gh_neg)]
+        grad_w = rel_scatter(
+            -(gw_pos[:, None] * a_pos + wa_pos[:, None] * g_pos)
+            + (gw_neg[:, None] * a_neg + wa_neg[:, None] * g_neg))
+        for ri in range(N_RELATIONS):
+            _, cw, cdr = transh_constraint_grads(
+                emb.rel_normals[ri], rel_t[ri],
+                config.constraint_weight, config.constraint_eps)
+            grad_w[ri] += cw
+            grad_rel[ri] += cdr
+
+    idx_parts = []
+    grad_parts = []
+    for idx, g in ent_contribs:
+        keep = (idx < doc_lo) | (idx >= doc_hi)
+        idx_parts.append(idx[keep])
+        grad_parts.append(g[keep])
+    idx = np.concatenate(idx_parts)
+    grads = np.concatenate(grad_parts, axis=0)
+    n_trainable = total - (doc_hi - doc_lo)
+    compact = np.where(idx < doc_lo, idx, idx - (doc_hi - doc_lo))
+    flat = (compact[:, None] * dim + np.arange(dim)).ravel()
+    grad_tr = np.bincount(flat, weights=grads.ravel(),
+                          minlength=n_trainable * dim).reshape(n_trainable, dim)
+    if doc_lo:
+        opt_pre.step(ent[:doc_lo], grad_tr[:doc_lo])
+    if total - doc_hi:
+        opt_post.step(ent[doc_hi:], grad_tr[doc_lo:])
+    opt_rel.step(rel_t, grad_rel)
+    if config.model == "transh":
+        opt_w.step(emb.rel_normals, grad_w)
+        norms = np.linalg.norm(emb.rel_normals, axis=1)
+        emb.rel_normals /= np.where(norms < 1e-12, 1.0, norms)[:, None]
+    return loss

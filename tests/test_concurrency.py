@@ -47,7 +47,8 @@ def test_train_kg_threads_identical(small_synth):
     store = embed_corpus(enc, corpus.docs)
     results = []
     for threads in (1, 2):
-        tc = KGTrainConfig(model="transh", epochs=3, batch_size=512, seed=4)
+        # 2048-row batches span four row blocks of the KG step
+        tc = KGTrainConfig(model="transh", epochs=3, batch_size=2048, seed=4)
         emb = train_kg(triples, store, catalog, tc, threads=threads)
         results.append(emb.entities.copy())
     assert np.array_equal(results[0], results[1])

@@ -1,16 +1,20 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from acadsearch.corpus import make_query
 from acadsearch.dense_encoder import (DocEmbeddingStore, HashedBowEncoder,
-                                      dense_score, embed_corpus, encode_text,
+                                      _encoder_step, dense_score, embed_corpus, encode_text,
                                       load_embedding_matrix,
                                       load_precomputed_embeddings,
                                       save_embedding_matrix, train_encoder,
                                       triplet_loss, triplet_loss_grads)
 from acadsearch.errors import ConfigError, DataFormatError
-from oracles import central_difference, relative_error
+from acadsearch.optim import AdamW
+from oracles import (NaiveAdamW, central_difference, naive_encoder_step,
+                     relative_error, same_bits)
 
 finite_vec = st.lists(st.floats(-5, 5), min_size=6, max_size=6).map(np.array)
 
@@ -151,6 +155,41 @@ def test_train_encoder_deterministic(small_synth):
         train_encoder(enc, pairs, texts, epochs=2, batch_size=32, seed=11)
         tables.append(enc.table.copy())
     assert np.array_equal(tables[0], tables[1])
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_encoder_step_matches_unblocked_oracle(small_synth, threads):
+    """Touched-bucket scatter plus blocked AdamW equal the full-table step."""
+    _, corpus, _ = small_synth
+    pairs, texts = _pairs_and_texts(corpus)
+    # 5000 x 16 spans two AdamW blocks
+    enc = HashedBowEncoder(dim=16, buckets=5000, seed=2)
+    q_all = [enc.bucket_ids(q) for q, _ in pairs]
+    p_all = [enc.bucket_ids(texts[o]) for _, o in pairs]
+    empty = np.empty(0, dtype=np.int64)
+    table, ref = enc.table.copy(), enc.table.copy()
+    opt, ref_opt = (AdamW(table.shape, dtype=np.float32),
+                    NaiveAdamW(table.shape, dtype=np.float32))
+    buf = np.zeros_like(table)
+    rng = np.random.default_rng(5)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        for step in range(5):
+            batch = rng.choice(len(pairs), size=24, replace=False)
+            q_ids = [q_all[i] for i in batch]
+            p_ids = [p_all[i] for i in batch]
+            q_ids[0] = empty                       # an empty query text
+            if step == 4:                          # nothing touched at all
+                q_ids = p_ids = [empty] * 24
+            loss = _encoder_step(table, buf, q_ids, p_ids, 1.0, opt, pool)
+            ref_loss = naive_encoder_step(ref, q_ids, p_ids, 1.0, ref_opt)
+            assert same_bits(np.float64(loss), np.float64(ref_loss))
+            assert same_bits(table, ref)
+            assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
+            assert not buf.any()
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def test_embed_corpus_matches_encode_text(encoder, small_synth):

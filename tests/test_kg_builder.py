@@ -222,6 +222,19 @@ def test_triple_file_bad_line(tmp_path, toy):
         load_triples(path, catalog)
 
 
+@pytest.mark.parametrize("line, what", [
+    ("user:u1\tfollows\tuser:u2\n", "unknown relation 'follows'"),
+    ("person:u1\twrote\tdocument:d1\n", "unknown entity kind 'person'"),
+])
+def test_triple_file_unknown_relation_or_kind(tmp_path, toy, line, what):
+    corpus, authors = toy
+    catalog = build_catalog(corpus, authors, KGConfig())
+    path = tmp_path / "triples.tsv"
+    path.write_text("user:u1\twrote\tdocument:d1\n" + line)
+    with pytest.raises(DataFormatError, match=f"triples.tsv: bad triple on line 2: {what}"):
+        load_triples(path, catalog)
+
+
 def test_catalog_unknown_entity():
     catalog = EntityCatalog({EntityKind.USER: ["u1"]})
     with pytest.raises(KeyError):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,14 +9,17 @@ from acadsearch.dense_encoder import DocEmbeddingStore, HashedBowEncoder, embed_
 from acadsearch.errors import ConfigError, DataFormatError
 from acadsearch.kg_builder import (EntityCatalog, EntityKind, KGConfig,
                                    RelationType, Triple, build_catalog, build_kg)
-from acadsearch.kg_embed import (KGTrainConfig, encode_triples, entity_vector,
+from acadsearch.kg_embed import (N_RELATIONS, KGEmbeddings, KGTrainConfig,
+                                 _kg_step, encode_triples, entity_vector,
                                  heldout_split, init_embeddings,
                                  link_prediction_mean_rank, load_kg_embeddings,
                                  sample_negative, save_kg_embeddings,
                                  train_kg, transe_pair_grads, transe_score,
                                  transh_constraint_grads, transh_pair_grads,
                                  transh_project, transh_score)
-from oracles import central_difference, relative_error
+from acadsearch.optim import AdamW
+from oracles import (NaiveAdamW, central_difference, naive_kg_step,
+                     relative_error, same_bits)
 
 
 def test_transe_score_examples():
@@ -330,3 +336,101 @@ def test_heldout_split_deterministic(tiny_kg):
     assert a == b
     with pytest.raises(ConfigError):
         heldout_split(triples, RelationType.WROTE, 10 ** 6, seed=5)
+
+
+# --- the blocked step against the whole-batch oracle -------------------------
+
+def _step_setup(model, seed=0):
+    """Embeddings over 300 users, 400 frozen documents, 20 venues, 10
+    affiliations, plus a blocked and an oracle optimizer set."""
+    catalog = EntityCatalog({
+        EntityKind.USER: [f"u{i:03d}" for i in range(300)],
+        EntityKind.DOCUMENT: [f"d{i:03d}" for i in range(400)],
+        EntityKind.VENUE: [f"v{i:02d}" for i in range(20)],
+        EntityKind.AFFILIATION: [f"a{i:02d}" for i in range(10)]})
+    rng = np.random.default_rng(seed)
+    store = DocEmbeddingStore(rng.normal(size=(400, 8)))
+    config = KGTrainConfig(model=model, seed=seed)
+    emb = init_embeddings(catalog, store, config)
+    doc_lo, doc_hi = emb.frozen_range
+
+    def optimizers(cls):
+        return (cls((doc_lo, 8), lr=0.01), cls((catalog.total - doc_hi, 8), lr=0.01),
+                cls((N_RELATIONS, 8), lr=0.01),
+                cls((N_RELATIONS, 8), lr=0.01, weight_decay=0.0)
+                if model == "transh" else None)
+    return emb, config, optimizers(AdamW), optimizers(NaiveAdamW)
+
+
+def _copy_emb(emb):
+    return KGEmbeddings(emb.model, emb.entities.copy(), emb.rel_translations.copy(),
+                        None if emb.rel_normals is None else emb.rel_normals.copy(),
+                        emb.catalog, emb.frozen_range)
+
+
+def _assert_same_state(emb, ref, opts, ref_opts):
+    assert same_bits(emb.entities, ref.entities)
+    assert same_bits(emb.rel_translations, ref.rel_translations)
+    if emb.rel_normals is not None:
+        assert same_bits(emb.rel_normals, ref.rel_normals)
+    for opt, ref_opt in zip(opts, ref_opts):
+        if opt is not None:
+            assert opt.t == ref_opt.t
+            assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("model", ["transe", "transh"])
+def test_kg_step_matches_unblocked_oracle(model, threads):
+    """Several steps over 1300 rows (two full blocks and a partial one),
+    with frozen document rows on both sides and invalid negatives."""
+    emb, config, opts, ref_opts = _step_setup(model)
+    ref = _copy_emb(emb)
+    total = emb.catalog.total
+    frozen = emb.entities[slice(*emb.frozen_range)].copy()
+    rng = np.random.default_rng(1)
+    n = 1300
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    # more workers than cores, switching often: a block writing outside its
+    # own rows would show as a mismatch
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            bh = rng.integers(0, 300, n)
+            br = rng.integers(0, N_RELATIONS, n)
+            bt = rng.integers(0, total, n)
+            nh = np.where(rng.random(n) < 0.5, rng.integers(0, 300, n), bh)
+            nt = rng.integers(0, total, n)
+            valid = rng.random(n) < 0.9
+            loss = _kg_step(emb, config, bh, br, bt, nh, nt, valid, *opts, pool)
+            ref_loss = naive_kg_step(ref, config, bh, br, bt, nh, nt, valid,
+                                     *ref_opts)
+            assert loss > 0.0
+            assert same_bits(np.float64(loss), np.float64(ref_loss))
+            _assert_same_state(emb, ref, opts, ref_opts)
+    finally:
+        sys.setswitchinterval(switch)
+        if pool is not None:
+            pool.shutdown()
+    assert opts[0].t == 4
+    assert same_bits(emb.entities[slice(*emb.frozen_range)], frozen)
+
+
+@pytest.mark.parametrize("model", ["transe", "transh"])
+def test_kg_step_all_inactive_batch_changes_nothing(model):
+    """Every negative far outside the margin: loss 0.0 and no update."""
+    emb, config, opts, _ = _step_setup(model)
+    before = _copy_emb(emb)
+    n = 700
+    users = np.arange(n) % 300
+    emb.entities[0] = 100.0
+    emb.entities[1] = -100.0
+    before.entities[:2] = emb.entities[:2]
+    br = np.arange(n) % N_RELATIONS
+    nh, nt = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    loss = _kg_step(emb, config, users, br, users, nh, nt, np.ones(n, dtype=bool),
+                    *opts, None)
+    assert same_bits(np.float64(loss), np.float64(0.0))
+    assert all(opt is None or opt.t == 0 for opt in opts)
+    _assert_same_state(emb, before, (), ())

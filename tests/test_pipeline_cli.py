@@ -240,3 +240,9 @@ def test_cli_set_override(tmp_path):
                  "--set", "synth.vocab_size=400", "synth"]) == 0
     n_lines = sum(1 for _ in open(workdir / "corpus" / "corpus.jsonl"))
     assert n_lines == 300
+
+
+def test_cli_removed_corruption_key_is_unknown(tmp_path, capsys):
+    assert main(["--workdir", str(tmp_path / "w"), "--quiet",
+                 "--set", "kg_train.corruption=uniform", "train-kg"]) == 1
+    assert "unknown config key 'kg_train.corruption'" in capsys.readouterr().err
