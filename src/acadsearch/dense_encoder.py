@@ -12,15 +12,19 @@ Training minimizes, per (query, positive) pair,
 
 with negatives taken from the other positives in the same batch, optimized
 by AdamW. A step sums token gradients for the buckets its batch touched
-only, into one zeroed buffer kept for the whole run, and the optimizer walks
-the table in cache-sized blocks; both do the arithmetic of a full-table
-step in the same order, so the trained table is the same bit for bit. Runs
-are bit-reproducible for a fixed seed at any thread count: with threads > 1
-the encode work is chunked across a pool and merged in a fixed order.
+only and hands the optimizer those rows (``AdamW.step(..., rows=)``); the
+optimizer walks the table in cache-sized blocks and fills each block's
+gradient from them, +0.0 elsewhere. Both do the arithmetic of a full-table
+step in the same order, so the trained table is the same bit for bit, and
+training holds no table-sized array besides the table and AdamW's moments.
+Runs are bit-reproducible for a fixed seed at any thread count: with
+threads > 1 the encode work is chunked across a pool and merged in a fixed
+order.
 """
 from __future__ import annotations
 
 import logging
+import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -48,27 +52,42 @@ def save_embedding_matrix(matrix: np.ndarray, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _FORMAT_VERSION, matrix.shape[0], matrix.shape[1]))
-        fh.write(matrix.astype("<f4").tobytes(order="C"))
+        # a C-contiguous little-endian f32 table is written from its own buffer
+        np.ascontiguousarray(matrix, dtype="<f4").tofile(fh)
 
 
 def load_embedding_matrix(path: str | Path, expect_count: int | None = None,
-                          expect_dim: int | None = None) -> np.ndarray:
+                          expect_dim: int | None = None,
+                          dtype=np.float64) -> np.ndarray:
+    """Read a matrix as ``dtype`` (float64 or float32).
+
+    The stored f32 values are read straight into a fresh, writable array,
+    so a float32 load holds the table once and a float64 load converts it
+    once.
+    """
     path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != _MAGIC:
-        raise DataFormatError(f"{path}: not an embedding file (bad magic)")
-    version, count, dim = struct.unpack_from("<III", data, 4)
-    if version != _FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported embedding format version {version}")
-    if expect_count is not None and count != expect_count:
-        raise DataFormatError(f"{path}: expected {expect_count} rows, found {count}")
-    if expect_dim is not None and dim != expect_dim:
-        raise DataFormatError(f"{path}: expected dimension {expect_dim}, found {dim}")
-    need = 16 + 4 * count * dim
-    if len(data) < need:
-        raise DataFormatError(f"{path}: truncated embedding file")
-    flat = np.frombuffer(data, dtype="<f4", count=count * dim, offset=16)
-    return flat.astype(np.float64).reshape(count, dim)
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if header[:4] != _MAGIC:
+            raise DataFormatError(f"{path}: not an embedding file (bad magic)")
+        if len(header) < 16:
+            raise DataFormatError(f"{path}: truncated embedding file "
+                                  f"({len(header)}-byte header, expected 16)")
+        version, count, dim = struct.unpack_from("<III", header, 4)
+        if version != _FORMAT_VERSION:
+            raise DataFormatError(f"{path}: unsupported embedding format version {version}")
+        if expect_count is not None and count != expect_count:
+            raise DataFormatError(f"{path}: expected {expect_count} rows, found {count}")
+        if expect_dim is not None and dim != expect_dim:
+            raise DataFormatError(f"{path}: expected dimension {expect_dim}, found {dim}")
+        size = os.fstat(fh.fileno()).st_size
+        if size < 16 + 4 * count * dim:
+            raise DataFormatError(f"{path}: truncated embedding file ({size} bytes "
+                                  f"for {count} x {dim})")
+        matrix = np.empty((count, dim), dtype="<f4")
+        if fh.readinto(matrix) != matrix.nbytes:
+            raise DataFormatError(f"{path}: truncated embedding file")
+    return matrix.astype(dtype, copy=False)
 
 
 class DocEmbeddingStore:
@@ -163,24 +182,12 @@ class HashedBowEncoder:
 
     @classmethod
     def load(cls, path: str | Path) -> "HashedBowEncoder":
-        table = load_embedding_matrix(path).astype(np.float32)
+        table = load_embedding_matrix(path, dtype=np.float32)
         enc = cls.__new__(cls)
         enc.buckets, enc.dim = table.shape
         enc.table = table
         enc._bucket_cache = {}
         return enc
-
-
-def encode_text(encoder: HashedBowEncoder, text: str) -> np.ndarray:
-    """Embed one text; the zero vector marks empty input."""
-    return encoder.encode(text)
-
-
-def dense_score(q_vec: np.ndarray, d_vec: np.ndarray) -> float:
-    """Dot product of normalized vectors (cosine); zero-flagged inputs give 0."""
-    if q_vec.shape != d_vec.shape:
-        raise ValueError(f"dimension mismatch: {q_vec.shape} vs {d_vec.shape}")
-    return float(np.dot(q_vec, d_vec))
 
 
 def triplet_loss(q: np.ndarray, d_pos: np.ndarray, negatives: np.ndarray,
@@ -279,7 +286,6 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
             doc_ids_cache[o] = encoder.bucket_ids(doc_texts[o])
     opt = AdamW(encoder.table.shape, lr=lr, weight_decay=weight_decay,
                 dtype=encoder.table.dtype)
-    grad_buf = np.zeros_like(encoder.table)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     n = len(pairs)
     losses: list[float] = []
@@ -293,8 +299,8 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
                     continue
                 q_ids = [query_ids[i] for i in batch]
                 p_ids = [doc_ids_cache[pairs[i][1]] for i in batch]
-                loss = _encoder_step(encoder.table, grad_buf, q_ids, p_ids,
-                                     margin, opt, pool)
+                loss = _encoder_step(encoder.table, q_ids, p_ids, margin,
+                                     opt, pool)
                 epoch_losses.append(loss)
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
             losses.append(mean_loss)
@@ -306,8 +312,8 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
     return losses
 
 
-def _encoder_step(table, grad_buf, q_ids, p_ids, margin, opt, pool) -> float:
-    """One AdamW step on a batch; ``grad_buf`` is all zeros before and after."""
+def _encoder_step(table, q_ids, p_ids, margin, opt, pool) -> float:
+    """One AdamW step on a batch; the gradient goes to ``opt`` by touched row."""
     b = len(q_ids)
     dim = table.shape[1]
     ids_list = q_ids + p_ids
@@ -327,8 +333,14 @@ def _encoder_step(table, grad_buf, q_ids, p_ids, margin, opt, pool) -> float:
         vecs, norms, all_ids, lengths = _encode_batch(table, ids_list)
     Q, P = vecs[:b], vecs[b:]
 
+    # The (b, b, dim) arrays are the step's largest: keep two of them at
+    # most. ``dist`` is np.linalg.norm(diff, axis=2) without its second
+    # temporary, the same sum bit for bit, and the unit vectors overwrite
+    # ``diff``.
     diff = Q[:, None, :] - P[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    sq = np.multiply(diff, diff)
+    dist = np.sqrt(np.add.reduce(sq, axis=2))
+    del sq
     pos = np.diag(dist)
     hinge = pos[:, None] - dist + margin
     np.fill_diagonal(hinge, 0.0)
@@ -336,13 +348,14 @@ def _encoder_step(table, grad_buf, q_ids, p_ids, margin, opt, pool) -> float:
     loss = float(hinge[active].sum() / b)
 
     safe = np.where(dist > 1e-12, dist, 1.0)
-    unit = diff / safe[:, :, None]
+    unit = np.divide(diff, safe[:, :, None], out=diff)
     counts = active.sum(axis=1) / b                       # weight on the positive term
     w = active.astype(np.float64) / b
     pos_unit = unit[np.arange(b), np.arange(b)]
     grad_q = counts[:, None] * pos_unit - np.einsum("ij,ijd->id", w, unit)
     grad_p = -counts[:, None] * pos_unit + np.einsum("ij,ijd->jd", w, unit)
 
+    del diff, unit
     # Backprop through normalization and the token mean into the bucket table.
     grad_vecs = np.vstack([grad_q, grad_p])
     ok = norms > 1e-12
@@ -352,16 +365,17 @@ def _encoder_step(table, grad_buf, q_ids, p_ids, margin, opt, pool) -> float:
         (grad_vecs - vecs * inner[:, None]) / np.where(ok, norms, 1.0)[:, None],
         0.0)
     grad_vecs /= np.maximum(lengths, 1)[:, None]
-    per_token = np.repeat(grad_vecs[lengths > 0], lengths[lengths > 0], axis=0)
-    # Sum per touched bucket only: each bucket's tokens still add in token
-    # order from 0.0, and assigning into the f32 buffer rounds as a cast would.
+    # Sum per touched bucket, one embedding column at a time, so no
+    # (tokens, dim) array exists: each bucket's tokens still add in token
+    # order from 0.0, and storing into the table's dtype rounds each sum once.
+    nonempty = lengths > 0
+    text_grads, text_lengths = grad_vecs[nonempty], lengths[nonempty]
     touched, slot = np.unique(all_ids, return_inverse=True)
-    flat = (slot[:, None] * dim + np.arange(dim)).ravel()
-    grad_buf[touched] = np.bincount(flat, weights=per_token.ravel(),
-                                    minlength=len(touched) * dim
-                                    ).reshape(len(touched), dim)
-    opt.step(table, grad_buf)
-    grad_buf[touched] = 0.0
+    vals = np.empty((len(touched), dim), dtype=table.dtype)
+    for c in range(dim):
+        weights = np.repeat(text_grads[:, c], text_lengths)
+        vals[:, c] = np.bincount(slot, weights=weights, minlength=len(touched))
+    opt.step(table, vals, rows=touched)
     return loss
 
 

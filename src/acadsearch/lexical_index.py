@@ -202,34 +202,55 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read a snapshot; a short, overlong or corrupt file raises DataFormatError."""
     path = Path(path)
     data = path.read_bytes()
     if data[:4] != _MAGIC:
         raise DataFormatError(f"{path}: not an index snapshot (bad magic)")
+    if len(data) < 16:
+        raise DataFormatError(f"{path}: truncated index snapshot "
+                              f"({len(data)}-byte header, expected 16)")
     version, doc_count, term_count = struct.unpack_from("<III", data, 4)
     if version != _FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported index format version {version}")
+    # every doc entry takes at least 6 bytes and every term entry 6
+    if 16 + 6 * (doc_count + term_count) > len(data):
+        raise DataFormatError(f"{path}: truncated index snapshot: {len(data)} bytes "
+                              f"cannot hold {doc_count} docs and {term_count} terms")
     off = 16
     doc_ids: list[str] = []
     lengths = np.empty(doc_count, dtype=np.int64)
-    for i in range(doc_count):
-        (n,) = struct.unpack_from("<H", data, off)
-        off += 2
-        doc_ids.append(data[off:off + n].decode("utf-8"))
-        off += n
-        (lengths[i],) = struct.unpack_from("<I", data, off)
-        off += 4
     postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for _ in range(term_count):
-        (n,) = struct.unpack_from("<H", data, off)
-        off += 2
-        term = data[off:off + n].decode("utf-8")
-        off += n
-        (df,) = struct.unpack_from("<I", data, off)
-        off += 4
-        ords = np.frombuffer(data, dtype="<u4", count=df, offset=off).astype(np.int64)
-        off += 4 * df
-        tfs = np.frombuffer(data, dtype="<u4", count=df, offset=off).astype(np.int64)
-        off += 4 * df
-        postings[term] = (ords, tfs)
+    # a read past the end raises struct.error or ValueError (frombuffer),
+    # a bad utf-8 name UnicodeDecodeError; ``entry`` is where the failing
+    # doc or term entry starts
+    entry = off
+    try:
+        for i in range(doc_count):
+            entry = off
+            (n,) = struct.unpack_from("<H", data, off)
+            off += 2
+            doc_ids.append(data[off:off + n].decode("utf-8"))
+            off += n
+            (lengths[i],) = struct.unpack_from("<I", data, off)
+            off += 4
+        for _ in range(term_count):
+            entry = off
+            (n,) = struct.unpack_from("<H", data, off)
+            off += 2
+            term = data[off:off + n].decode("utf-8")
+            off += n
+            (df,) = struct.unpack_from("<I", data, off)
+            off += 4
+            ords = np.frombuffer(data, dtype="<u4", count=df, offset=off).astype(np.int64)
+            off += 4 * df
+            tfs = np.frombuffer(data, dtype="<u4", count=df, offset=off).astype(np.int64)
+            off += 4 * df
+            postings[term] = (ords, tfs)
+    except (struct.error, ValueError):
+        raise DataFormatError(f"{path}: truncated or corrupt index snapshot "
+                              f"(entry at byte offset {entry})") from None
+    if off != len(data):
+        raise DataFormatError(f"{path}: {len(data) - off} unexpected bytes after "
+                              f"the last term (byte offset {off})")
     return InvertedIndex(doc_ids, lengths, postings)

@@ -21,7 +21,8 @@ from . import corpus as corpus_mod
 from .corpus.model import SplitSpec
 from .dense_encoder import (HashedBowEncoder, embed_corpus,
                             load_precomputed_embeddings, train_encoder)
-from .errors import ConfigError, MissingArtifactError, StaleArtifactError
+from .errors import (ConfigError, DataFormatError, MissingArtifactError,
+                     StaleArtifactError)
 from .fusion_eval import (CandidateList, Lambdas, MetricReport, ablation_report,
                           evaluate_run, fuse, metrics_table, run_from_rankings,
                           significance_test, tune_lambdas, write_run)
@@ -206,7 +207,13 @@ class Pipeline:
                 raise MissingArtifactError(
                     f"artifact {dir_rel}/{name} is missing: run `{hint}` first")
             paths.append(p)
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise DataFormatError(f"{manifest_path}: unreadable stage manifest: "
+                                  f"{exc}") from None
+        if not isinstance(manifest, dict):
+            raise DataFormatError(f"{manifest_path}: stage manifest is not a JSON object")
         stage = manifest.get("stage")
         if stage in STAGE_SECTIONS and not self.force:
             if manifest.get("config_hash") != stage_config_hash(self.cfg, stage):

@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from acadsearch.corpus import make_query
 from acadsearch.dense_encoder import (DocEmbeddingStore, HashedBowEncoder,
-                                      _encoder_step, dense_score, embed_corpus, encode_text,
+                                      _encoder_step, embed_corpus,
                                       load_embedding_matrix,
                                       load_precomputed_embeddings,
                                       save_embedding_matrix, train_encoder,
@@ -25,19 +27,19 @@ def encoder():
 
 
 def test_encode_single_token_is_normalized_bucket_row(encoder):
-    vec = encode_text(encoder, "hello")
+    vec = encoder.encode("hello")
     row = encoder.table[encoder.bucket("hello")]
     assert np.allclose(vec, row / np.linalg.norm(row), atol=1e-12)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_encode_empty_is_zero_flag(encoder):
-    vec = encode_text(encoder, "")
+    vec = encoder.encode("")
     assert not vec.any()
 
 
 def test_encode_order_invariant(encoder):
-    assert np.array_equal(encode_text(encoder, "a b"), encode_text(encoder, "b a"))
+    assert np.array_equal(encoder.encode("a b"), encoder.encode("b a"))
 
 
 def test_triplet_loss_examples():
@@ -99,20 +101,19 @@ def test_triplet_loss_translation_invariant(q, dp, dn, shift):
     assert a == pytest.approx(b, abs=1e-9)
 
 
-def test_dense_score_examples():
+def test_dense_score_examples(encoder):
+    """The dense score is the dot product of two encodings (their cosine)."""
     v = np.array([1.0, 0.0])
     w = np.array([0.0, 1.0])
-    assert dense_score(v, v) == pytest.approx(1.0)
-    assert dense_score(v, w) == pytest.approx(0.0)
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=32)
-    a /= np.linalg.norm(a)
-    b = rng.normal(size=32)
-    b /= np.linalg.norm(b)
-    assert dense_score(a, b) == pytest.approx(float(sum(x * y for x, y in zip(a, b))),
-                                              abs=1e-12)
+    assert float(np.dot(v, v)) == pytest.approx(1.0)
+    assert float(np.dot(v, w)) == pytest.approx(0.0)
+    a, b = encoder.encode("graph neural retrieval"), encoder.encode("retrieval of graphs")
+    assert float(np.dot(a, b)) == pytest.approx(
+        float(sum(x * y for x, y in zip(a, b))), abs=1e-12)
+    assert float(np.dot(a, a)) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.dot(a, encoder.encode(""))) == 0.0
     with pytest.raises(ValueError):
-        dense_score(np.zeros(3), np.zeros(4))
+        np.dot(np.zeros(3), np.zeros(4))
 
 
 def _pairs_and_texts(corpus, n=400):
@@ -159,7 +160,7 @@ def test_train_encoder_deterministic(small_synth):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_encoder_step_matches_unblocked_oracle(small_synth, threads):
-    """Touched-bucket scatter plus blocked AdamW equal the full-table step."""
+    """Touched-row gradients plus blocked AdamW equal the full-table step."""
     _, corpus, _ = small_synth
     pairs, texts = _pairs_and_texts(corpus)
     # 5000 x 16 spans two AdamW blocks
@@ -170,7 +171,6 @@ def test_encoder_step_matches_unblocked_oracle(small_synth, threads):
     table, ref = enc.table.copy(), enc.table.copy()
     opt, ref_opt = (AdamW(table.shape, dtype=np.float32),
                     NaiveAdamW(table.shape, dtype=np.float32))
-    buf = np.zeros_like(table)
     rng = np.random.default_rng(5)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
@@ -181,12 +181,11 @@ def test_encoder_step_matches_unblocked_oracle(small_synth, threads):
             q_ids[0] = empty                       # an empty query text
             if step == 4:                          # nothing touched at all
                 q_ids = p_ids = [empty] * 24
-            loss = _encoder_step(table, buf, q_ids, p_ids, 1.0, opt, pool)
+            loss = _encoder_step(table, q_ids, p_ids, 1.0, opt, pool)
             ref_loss = naive_encoder_step(ref, q_ids, p_ids, 1.0, ref_opt)
             assert same_bits(np.float64(loss), np.float64(ref_loss))
             assert same_bits(table, ref)
             assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
-            assert not buf.any()
     finally:
         if pool is not None:
             pool.shutdown()
@@ -198,7 +197,7 @@ def test_embed_corpus_matches_encode_text(encoder, small_synth):
     store = embed_corpus(encoder, docs)
     assert store.count == 40
     for i, doc in enumerate(docs):
-        assert np.allclose(store.row(i), encode_text(encoder, doc.text()),
+        assert np.allclose(store.row(i), encoder.encode(doc.text()),
                            atol=1e-12)
     norms = np.linalg.norm(store.vectors[~store.empty_mask], axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-6)
@@ -231,6 +230,76 @@ def test_embedding_load_validation(tmp_path):
     bad.write_bytes(b"XXXX" + b"\x00" * 12)
     with pytest.raises(DataFormatError, match="magic"):
         load_embedding_matrix(bad)
+    # a header claiming 8 TiB of rows is refused before anything is allocated
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(b"EMBD" + struct.pack("<III", 1, 2**31, 2**10))
+    with pytest.raises(DataFormatError, match="huge.bin: truncated"):
+        load_embedding_matrix(huge, dtype=np.float32)
+
+
+@pytest.mark.parametrize("kind", ["f32", "f64", "strided", "big-endian"])
+def test_saved_bytes_are_the_f32_cast(tmp_path, kind):
+    rng = np.random.default_rng(2)
+    m = {"f32": rng.normal(size=(7, 5)).astype(np.float32),
+         "f64": rng.normal(size=(7, 5)),
+         "strided": rng.normal(size=(9, 10))[::2, ::3],
+         "big-endian": rng.normal(size=(7, 5)).astype(">f8")}[kind]
+    path = tmp_path / "m.bin"
+    save_embedding_matrix(m, path)
+    data = path.read_bytes()
+    assert data[:4] == b"EMBD"
+    assert data[16:] == m.astype("<f4").tobytes()
+
+
+def test_float32_load_is_an_owned_copy(tmp_path):
+    rng = np.random.default_rng(8)
+    table = rng.normal(size=(33, 6)).astype(np.float32)
+    path = tmp_path / "t.bin"
+    save_embedding_matrix(table, path)
+    loaded = load_embedding_matrix(path, dtype=np.float32)
+    assert loaded.dtype == np.float32 and loaded.shape == (33, 6)
+    assert loaded.flags.owndata and loaded.flags.writeable
+    assert loaded.flags.c_contiguous
+    assert same_bits(loaded, table)
+    assert same_bits(load_embedding_matrix(path), table.astype(np.float64))
+    enc = HashedBowEncoder.load(path)
+    assert (enc.buckets, enc.dim) == (33, 6)
+    assert same_bits(enc.table, table)
+    enc.table[0] += 1.0                                  # trainable in place
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_prefix_of_an_embedding_file_is_rejected(tmp_path, dtype):
+    path = tmp_path / "m.bin"
+    save_embedding_matrix(np.arange(12.0).reshape(4, 3), path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(DataFormatError, match="cut.bin: (truncated|not an)"):
+            load_embedding_matrix(cut, dtype=dtype)
+
+
+def test_train_encoder_keeps_no_table_sized_gradient():
+    """Traced peak of a full-size run stays below a table-sized extra array.
+
+    AdamW's moments take 32 MiB for a 65536 x 64 f32 table and the step's
+    two (128, 128, 64) f64 temporaries 16 MiB: about 50 MiB in all. A
+    zero-filled table-sized gradient buffer (16 MiB) and a third (b, b, dim)
+    temporary took the peak to about 76 MiB.
+    """
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(5000)]
+    texts = [" ".join(rng.choice(words, size=60)) for _ in range(300)]
+    pairs = [(" ".join(rng.choice(words, size=4)), i) for i in range(256)]
+    enc = HashedBowEncoder(dim=64, buckets=1 << 16, seed=1)
+    tracemalloc.start()
+    try:
+        train_encoder(enc, pairs, texts, epochs=1, batch_size=128, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
 
 
 def test_precomputed_store_renormalizes_and_warns(tmp_path, caplog):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -223,3 +224,23 @@ def test_snapshot_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataFormatError, match="magic"):
         load_index(path)
+
+
+def test_every_prefix_of_a_snapshot_is_rejected(tmp_path):
+    index = build_index([("d0", "graph retrieval"), ("dé1", "graph graph ünïcode"),
+                         ("d2", "")])
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(DataFormatError, match="cut.bin: (truncated|not an)"):
+            load_index(cut)
+    cut.write_bytes(data + b"\x00")
+    with pytest.raises(DataFormatError, match="cut.bin: 1 unexpected bytes"):
+        load_index(cut)
+    cut.write_bytes(data[:4] + struct.pack("<III", 1, 2**32 - 1, 3) + data[16:])
+    with pytest.raises(DataFormatError, match="cut.bin: truncated"):
+        load_index(cut)
+    assert sorted(load_index(path).postings) == sorted(index.postings)

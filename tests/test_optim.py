@@ -1,6 +1,9 @@
 """The blocked AdamW step against the whole-array oracle, bit for bit."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acadsearch import optim
 from acadsearch.optim import AdamW
@@ -63,3 +66,49 @@ def test_adamw_updates_a_view_in_place(monkeypatch, block):
     assert same_bits(full[:30], ref_pre)
     assert same_bits(full[50:], ref_post)
     assert same_bits(full[30:50], before[30:50])
+
+
+def _check_rows_form(shape, dtype, block, steps, weight_decay=0.01):
+    """Row-sparse steps equal the oracle fed the zero-filled dense gradient.
+
+    ``steps`` lists, per step, the sorted unique rows that take a gradient.
+    """
+    rng = np.random.default_rng(6)
+    param = rng.normal(size=shape).astype(dtype)
+    with mock.patch.object(optim, "_BLOCK", block):
+        opt = AdamW(shape, dtype=dtype, lr=0.05, weight_decay=weight_decay)
+    naive = NaiveAdamW(shape, dtype=dtype, lr=0.05, weight_decay=weight_decay)
+    p_rows, p_naive = param.copy(), param.copy()
+    for rows in steps:
+        rows = np.asarray(rows, dtype=np.int64)
+        vals = rng.normal(size=(len(rows),) + shape[1:]).astype(dtype)
+        dense = np.zeros(shape, dtype=dtype)
+        dense[rows] = vals
+        opt.step(p_rows, vals, rows=rows)
+        naive.step(p_naive, dense)
+        assert same_bits(p_rows, p_naive)
+        assert same_bits(opt.m, naive.m) and same_bits(opt.v, naive.v)
+    assert opt.t == naive.t == len(steps)
+
+
+# 70 rows of 8 in blocks of 24 elements: 3-row blocks, a partial last one
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+@pytest.mark.parametrize("steps", [
+    [[], []],                                       # no row touched
+    [range(70), range(70)],                         # every row
+    [[2, 3, 5, 6, 8, 9], [0, 68, 69]],              # across block edges
+    [[69], [67, 68, 69], []],                       # only the partial block
+], ids=["empty", "all", "edges", "last-block"])
+def test_adamw_rows_named_cases(dtype, weight_decay, steps):
+    _check_rows_form((70, 8), dtype, 24, steps, weight_decay)
+
+
+@given(n=st.integers(1, 40), tail=st.sampled_from([(), (1,), (3,)]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       block=st.sampled_from([1, 5, 7, optim._BLOCK]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_adamw_rows_match_dense_oracle(n, tail, dtype, block, data):
+    row_sets = st.sets(st.integers(0, n - 1)).map(sorted)
+    steps = data.draw(st.lists(row_sets, min_size=1, max_size=4))
+    _check_rows_form((n,) + tail, dtype, block, steps)

@@ -128,6 +128,32 @@ def test_cli_edited_queries_make_score_stale(tiny_run, tmp_path, capsys):
         assert split_inputs == expected[stage], stage
 
 
+@pytest.mark.parametrize("artifact", ["dense/manifest.json", "dense/encoder.bin",
+                                      "index/index.bin", "not-an-object"])
+def test_cli_corrupt_artifact_exit_3(tiny_run, tmp_path, capsys, artifact):
+    """A stage reading a cut-short or malformed artifact exits 3 naming it."""
+    import shutil
+    _, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    cfg_path = tmp_path / "cfg.json"
+    overrides = json.loads(json.dumps(TINY))
+    overrides["paths"] = {"workdir": str(workdir)}
+    cfg_path.write_text(json.dumps(overrides))
+    if artifact == "not-an-object":
+        path = workdir / "dense" / "manifest.json"
+        path.write_text("[]\n")
+    else:
+        path = workdir / artifact
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--force", "--quiet", "score"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 def test_stage_isolation_downstream_delete(tiny_run):
     cfg, workdir = tiny_run
     metrics_before = (workdir / "eval" / "metrics.json").read_bytes()
