@@ -161,12 +161,21 @@ def load_queries(path: str | Path) -> list[Query]:
             if not line:
                 continue
             record = _parse_line(line, lineno, path)
+            missing = [f for f in ("query_id", "text", "year") if f not in record]
+            if missing:
+                raise DataFormatError(
+                    f"{path}: query record on line {lineno} missing fields {missing}")
+            try:
+                year = int(record["year"])
+            except (TypeError, ValueError):
+                raise DataFormatError(
+                    f"{path}: non-integer year on line {lineno}") from None
             queries.append(Query(
                 query_id=str(record["query_id"]),
                 user_id=(str(record["user_id"])
                          if record.get("user_id") is not None else None),
                 text=str(record["text"]),
-                year=int(record["year"]),
+                year=year,
                 source_doc_id=(str(record["source_doc_id"])
                                if record.get("source_doc_id") is not None else None),
             ))

@@ -17,9 +17,12 @@ optimizer walks the table in cache-sized blocks and fills each block's
 gradient from them, +0.0 elsewhere. Both do the arithmetic of a full-table
 step in the same order, so the trained table is the same bit for bit, and
 training holds no table-sized array besides the table and AdamW's moments.
-Runs are bit-reproducible for a fixed seed at any thread count: with
-threads > 1 the encode work is chunked across a pool and merged in a fixed
-order.
+The rest is block-sized too: the table is drawn in row chunks, a step's
+forward pass gathers token rows a chunk of texts at a time, and its
+(batch, batch, dim) distance maths runs on blocks of query rows, all with
+the same results as the one-shot forms. Runs are bit-reproducible for a
+fixed seed at any thread count: with threads > 1 the encode work is chunked
+across a pool and merged in a fixed order.
 """
 from __future__ import annotations
 
@@ -40,6 +43,15 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"EMBD"
 _FORMAT_VERSION = 1
+
+# table rows per float64 draw at initialization (2 MiB at dim 64)
+_INIT_ROWS = 4096
+# texts per token gather in the forward pass: at about 64 tokens a text,
+# the (tokens, dim) f32 gather of a chunk takes about 0.5 MiB at dim 64
+_GATHER_TEXTS = 32
+# query rows per block of the triplet step: a block's (rows, batch, dim)
+# f64 temporaries take 1 MiB each at batch 128 and dim 64
+_STEP_ROWS = 16
 
 
 # --- shared embedding binary format (also used for KG entity matrices) -----
@@ -142,9 +154,14 @@ class HashedBowEncoder:
         self.buckets = buckets
         rng = np.random.default_rng(seed)
         # float32 throughout: the on-disk format is f32 anyway, and the
-        # optimizer runs several times faster on half the memory traffic
-        self.table = rng.normal(0.0, 1.0 / np.sqrt(dim),
-                                size=(buckets, dim)).astype(np.float32)
+        # optimizer runs several times faster on half the memory traffic.
+        # Row chunks take the same values from the stream as one
+        # (buckets, dim) draw, so only a chunk exists in float64.
+        self.table = np.empty((buckets, dim), dtype=np.float32)
+        for lo in range(0, buckets, _INIT_ROWS):
+            hi = min(lo + _INIT_ROWS, buckets)
+            self.table[lo:hi] = rng.normal(0.0, 1.0 / np.sqrt(dim),
+                                           size=(hi - lo, dim))
         self._bucket_cache: dict[str, int] = {}
 
     def bucket(self, token: str) -> int:
@@ -238,7 +255,9 @@ def _encode_batch(table: np.ndarray, ids_list: list[np.ndarray]):
     """Vectorized forward pass over many token-id arrays.
 
     Returns (normalized matrix, raw-mean norms, concatenated ids, segment
-    lengths); empty or degenerate texts get zero rows and zero norms.
+    lengths); empty or degenerate texts get zero rows and zero norms. Token
+    rows are gathered and summed ``_GATHER_TEXTS`` texts at a time; each
+    text's sum runs over its own tokens in order, whatever the chunking.
     """
     dim = table.shape[1]
     n = len(ids_list)
@@ -249,9 +268,13 @@ def _encode_batch(table: np.ndarray, ids_list: list[np.ndarray]):
     if len(nonempty) == 0:
         return out, norms, np.empty(0, dtype=np.int64), lengths
     all_ids = np.concatenate([ids_list[i] for i in nonempty])
-    starts = np.zeros(len(nonempty), dtype=np.int64)
-    np.cumsum(lengths[nonempty][:-1], out=starts[1:])
-    sums = np.add.reduceat(table[all_ids], starts, axis=0)
+    bounds = np.zeros(len(nonempty) + 1, dtype=np.int64)
+    np.cumsum(lengths[nonempty], out=bounds[1:])
+    sums = np.empty((len(nonempty), dim), dtype=table.dtype)
+    for lo in range(0, len(nonempty), _GATHER_TEXTS):
+        hi = min(lo + _GATHER_TEXTS, len(nonempty))
+        sums[lo:hi] = np.add.reduceat(table[all_ids[bounds[lo]:bounds[hi]]],
+                                      bounds[lo:hi] - bounds[lo], axis=0)
     means = sums / lengths[nonempty, None]
     raw = np.linalg.norm(means, axis=1)
     ok = raw > 1e-12
@@ -333,29 +356,46 @@ def _encoder_step(table, q_ids, p_ids, margin, opt, pool) -> float:
         vecs, norms, all_ids, lengths = _encode_batch(table, ids_list)
     Q, P = vecs[:b], vecs[b:]
 
-    # The (b, b, dim) arrays are the step's largest: keep two of them at
-    # most. ``dist`` is np.linalg.norm(diff, axis=2) without its second
-    # temporary, the same sum bit for bit, and the unit vectors overwrite
-    # ``diff``.
-    diff = Q[:, None, :] - P[None, :, :]
-    sq = np.multiply(diff, diff)
-    dist = np.sqrt(np.add.reduce(sq, axis=2))
-    del sq
-    pos = np.diag(dist)
-    hinge = pos[:, None] - dist + margin
-    np.fill_diagonal(hinge, 0.0)
-    active = hinge > 0.0
-    loss = float(hinge[active].sum() / b)
+    # The (b, b, dim) distance maths runs on blocks of ``_STEP_ROWS`` query
+    # rows, so its largest temporaries are (rows, b, dim). ``dist`` is
+    # np.linalg.norm(diff, axis=2) without its second temporary, the same
+    # sum bit for bit, and the unit vectors overwrite ``diff``. Every
+    # expression is row-local except two sums over query rows: the loss sums
+    # the blocks' active hinges joined in row-major order, the same 1-D array
+    # as the whole batch's, and ``grad_p`` adds one query row at a time in
+    # order, as einsum("ij,ijd->jd") does (adding per-block einsum results
+    # would round differently).
+    grad_q = np.empty((b, dim))
+    grad_p = np.zeros((b, dim))
+    pos_unit = np.empty((b, dim))
+    counts = np.empty(b)                                  # weight on the positive term
+    hinges = []
+    for lo in range(0, b, _STEP_ROWS):
+        hi = min(lo + _STEP_ROWS, b)
+        rows = np.arange(hi - lo)
+        diff = Q[lo:hi, None, :] - P[None, :, :]
+        sq = np.multiply(diff, diff)
+        dist = np.sqrt(np.add.reduce(sq, axis=2))
+        del sq
+        pos = dist[rows, lo + rows]
+        hinge = pos[:, None] - dist + margin
+        hinge[rows, lo + rows] = 0.0
+        active = hinge > 0.0
+        hinges.append(hinge[active])
 
-    safe = np.where(dist > 1e-12, dist, 1.0)
-    unit = np.divide(diff, safe[:, :, None], out=diff)
-    counts = active.sum(axis=1) / b                       # weight on the positive term
-    w = active.astype(np.float64) / b
-    pos_unit = unit[np.arange(b), np.arange(b)]
-    grad_q = counts[:, None] * pos_unit - np.einsum("ij,ijd->id", w, unit)
-    grad_p = -counts[:, None] * pos_unit + np.einsum("ij,ijd->jd", w, unit)
+        safe = np.where(dist > 1e-12, dist, 1.0)
+        unit = np.divide(diff, safe[:, :, None], out=diff)
+        counts[lo:hi] = active.sum(axis=1) / b
+        w = active.astype(np.float64) / b
+        pos_unit[lo:hi] = unit[rows, lo + rows]
+        grad_q[lo:hi] = (counts[lo:hi, None] * pos_unit[lo:hi]
+                         - np.einsum("ij,ijd->id", w, unit))
+        for i in rows:
+            grad_p += w[i, :, None] * unit[i]
+        del diff, unit
+    loss = float(np.concatenate(hinges).sum() / b)
+    grad_p = -counts[:, None] * pos_unit + grad_p
 
-    del diff, unit
     # Backprop through normalization and the token mean into the bucket table.
     grad_vecs = np.vstack([grad_q, grad_p])
     ok = norms > 1e-12

@@ -49,7 +49,7 @@ class Lambdas:
         total = self.bm25 + self.dense + self.user
         if min(self.bm25, self.dense, self.user) < 0:
             raise ConfigError(f"fusion weights must be nonnegative: {self}")
-        if abs(total - 1.0) > 1e-9:
+        if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
             raise ConfigError(f"fusion weights must sum to 1, got {total!r}")
 
     def as_array(self) -> np.ndarray:
@@ -349,10 +349,12 @@ def run_from_rankings(name: str, fused: dict[str, list[tuple[str, float]]]) -> R
 def write_run(run: RunFile, path: str | Path) -> None:
     """TREC 6-column format: query_id Q0 doc_id rank score run_tag."""
     run.validate()
+    tag = run.name
+    text = "".join([f"{qid} Q0 {doc_id} {rank} {score:.6g} {tag}\n"
+                    for qid in sorted(run.rankings)
+                    for doc_id, score, rank in run.rankings[qid]])
     with open(path, "w", encoding="utf-8") as fh:
-        for qid in sorted(run.rankings):
-            for doc_id, score, rank in run.rankings[qid]:
-                fh.write(f"{qid} Q0 {doc_id} {rank} {score:.6g} {run.name}\n")
+        fh.write(text)
 
 
 def read_run(path: str | Path) -> RunFile:

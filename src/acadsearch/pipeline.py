@@ -154,6 +154,17 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    """A JSON object from ``path``; DataFormatError naming it otherwise."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+        raise DataFormatError(f"{path}: unreadable {what}: {exc}") from None
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path}: {what} is not a JSON object")
+    return data
+
+
 def stage_config_hash(cfg: dict, stage: str) -> str:
     sections = {s: cfg[s] for s in STAGE_SECTIONS[stage]}
     return _hash_bytes(json.dumps(sections, sort_keys=True).encode())
@@ -207,13 +218,7 @@ class Pipeline:
                 raise MissingArtifactError(
                     f"artifact {dir_rel}/{name} is missing: run `{hint}` first")
             paths.append(p)
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
-            raise DataFormatError(f"{manifest_path}: unreadable stage manifest: "
-                                  f"{exc}") from None
-        if not isinstance(manifest, dict):
-            raise DataFormatError(f"{manifest_path}: stage manifest is not a JSON object")
+        manifest = _read_json_object(manifest_path, "stage manifest")
         stage = manifest.get("stage")
         if stage in STAGE_SECTIONS and not self.force:
             if manifest.get("config_hash") != stage_config_hash(self.cfg, stage):
@@ -367,7 +372,12 @@ class Pipeline:
         if not split_file.exists():
             raise MissingArtifactError("no split artifact: run `score` (or any "
                                        "stage that builds splits) first")
-        return int(json.loads(split_file.read_text(encoding="utf-8"))["cutoff_year"])
+        split = _read_json_object(split_file, "split record")
+        try:
+            return int(split["cutoff_year"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise DataFormatError(
+                f"{split_file}: missing or non-integer cutoff_year") from None
 
     # -- dense encoder ---------------------------------------------------------------
 
@@ -679,11 +689,21 @@ class Pipeline:
         out = self._dir("eval")
         records = self._load_candidates("test")
         qrels = corpus_mod.load_qrels(self.workdir / "splits" / "test_qrels.txt")
-        lambdas = json.loads((self.workdir / "tune" / "lambdas.json")
-                             .read_text(encoding="utf-8"))
+        lambdas_path = self.workdir / "tune" / "lambdas.json"
+        lambdas = _read_json_object(lambdas_path, "fusion weights file")
+        tuned = {}
+        for name, weights in lambdas.items():
+            try:
+                tuned[name] = Lambdas(**weights)
+            except (TypeError, ConfigError) as exc:
+                raise DataFormatError(f"{lambdas_path}: bad fusion weights for "
+                                      f"{name!r}: {exc}") from None
         systems = [("bm25", "none", None, Lambdas(1.0, 0.0, 0.0))]
         for name, channel, kg_model in self._systems():
-            systems.append((name, channel, kg_model, Lambdas(**lambdas[name])))
+            if name not in tuned:
+                raise DataFormatError(f"{lambdas_path}: no fusion weights for "
+                                      f"{name!r}; re-run `tune`")
+            systems.append((name, channel, kg_model, tuned[name]))
         reports: list[MetricReport] = []
         outputs = []
         for name, channel, kg_model, lam in systems:

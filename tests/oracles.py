@@ -205,13 +205,40 @@ class NaiveAdamW:
         param -= self._scratch
 
 
-def naive_encoder_step(table, q_ids, p_ids, margin, opt):
-    """Triplet step with a scatter into a fresh full-table gradient."""
-    from acadsearch.dense_encoder import _encode_batch
+def naive_encode_batch(table, ids_list):
+    """Forward pass with one gather and one ``reduceat`` over all the texts.
 
+    Returns (normalized matrix, raw-mean norms, concatenated ids, segment
+    lengths), zero rows and norms for empty or degenerate texts.
+    """
+    dim = table.shape[1]
+    n = len(ids_list)
+    lengths = np.array([len(ids) for ids in ids_list], dtype=np.int64)
+    out = np.zeros((n, dim))
+    norms = np.zeros(n)
+    nonempty = np.flatnonzero(lengths > 0)
+    if len(nonempty) == 0:
+        return out, norms, np.empty(0, dtype=np.int64), lengths
+    all_ids = np.concatenate([ids_list[i] for i in nonempty])
+    starts = np.zeros(len(nonempty), dtype=np.int64)
+    np.cumsum(lengths[nonempty][:-1], out=starts[1:])
+    sums = np.add.reduceat(table[all_ids], starts, axis=0)
+    means = sums / lengths[nonempty, None]
+    raw = np.linalg.norm(means, axis=1)
+    ok = raw > 1e-12
+    means[ok] /= raw[ok, None]
+    means[~ok] = 0.0
+    out[nonempty] = means
+    norms[nonempty] = np.where(ok, raw, 0.0)
+    return out, norms, all_ids, lengths
+
+
+def naive_encoder_step(table, q_ids, p_ids, margin, opt):
+    """Triplet step over the whole (b, b, dim) batch, with a scatter into a
+    fresh full-table gradient."""
     b = len(q_ids)
     dim = table.shape[1]
-    vecs, norms, all_ids, lengths = _encode_batch(table, q_ids + p_ids)
+    vecs, norms, all_ids, lengths = naive_encode_batch(table, q_ids + p_ids)
     Q, P = vecs[:b], vecs[b:]
     diff = Q[:, None, :] - P[None, :, :]
     dist = np.linalg.norm(diff, axis=2)

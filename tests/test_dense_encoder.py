@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acadsearch.corpus import make_query
-from acadsearch.dense_encoder import (DocEmbeddingStore, HashedBowEncoder,
-                                      _encoder_step, embed_corpus,
+from acadsearch.dense_encoder import (_GATHER_TEXTS, _INIT_ROWS, _STEP_ROWS,
+                                      DocEmbeddingStore, HashedBowEncoder,
+                                      _encode_batch, _encoder_step, embed_corpus,
                                       load_embedding_matrix,
                                       load_precomputed_embeddings,
                                       save_embedding_matrix, train_encoder,
                                       triplet_loss, triplet_loss_grads)
 from acadsearch.errors import ConfigError, DataFormatError
 from acadsearch.optim import AdamW
-from oracles import (NaiveAdamW, central_difference, naive_encoder_step,
-                     relative_error, same_bits)
+from oracles import (NaiveAdamW, central_difference, naive_encode_batch,
+                     naive_encoder_step, relative_error, same_bits)
 
 finite_vec = st.lists(st.floats(-5, 5), min_size=6, max_size=6).map(np.array)
 
@@ -191,6 +192,87 @@ def test_encoder_step_matches_unblocked_oracle(small_synth, threads):
             pool.shutdown()
 
 
+@pytest.mark.parametrize("b", [2, _STEP_ROWS - 1, _STEP_ROWS, _STEP_ROWS + 1,
+                               37, 128])
+@pytest.mark.parametrize("regime", ["mixed", "none-active", "all-active"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_blocked_step_matches_whole_batch_oracle(b, regime, dtype):
+    """Every batch size around the row block gives the whole-batch step.
+
+    A float64 table keeps the last bits of the float64 gradient, which the
+    float32 table's rounding can hide.
+    """
+    rng = np.random.default_rng(b)
+    dim = 8
+    enc = HashedBowEncoder(dim=dim, buckets=600, seed=9)
+    q_ids = [rng.integers(0, 600, size=rng.integers(1, 6)) for _ in range(b)]
+    p_ids = [rng.integers(0, 600, size=rng.integers(1, 40)) for _ in range(b)]
+    margin = 1.0
+    if regime == "mixed":
+        q_ids[0] = np.empty(0, dtype=np.int64)          # an empty query text
+        p_ids[-1] = p_ids[0].copy()                     # two equal positives
+    elif regime == "none-active":
+        # each query is its positive's text: every positive distance is 0,
+        # and a distinct negative is farther than the tiny margin
+        p_ids = [np.unique(ids) for ids in p_ids]
+        q_ids = [ids.copy() for ids in p_ids]
+        margin = 1e-9
+    else:
+        margin = 10.0                                    # unit vectors: dist <= 2
+    table, ref = enc.table.astype(dtype), enc.table.astype(dtype)
+    if regime == "all-active":
+        vecs = naive_encode_batch(table, q_ids + p_ids)[0]
+        dist = np.linalg.norm(vecs[:b, None] - vecs[None, b:], axis=2)
+        assert np.all(np.diag(dist)[:, None] - dist + margin > 0.0)
+    opt, ref_opt = (AdamW(table.shape, dtype=dtype),
+                    NaiveAdamW(table.shape, dtype=dtype))
+    for _ in range(2):
+        loss = _encoder_step(table, q_ids, p_ids, margin, opt, None)
+        ref_loss = naive_encoder_step(ref, q_ids, p_ids, margin, ref_opt)
+        assert same_bits(np.float64(loss), np.float64(ref_loss))
+        assert same_bits(table, ref)
+        assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
+        assert (loss == 0.0) == (regime == "none-active")
+
+
+@pytest.mark.parametrize("n_texts", [1, _GATHER_TEXTS - 1, _GATHER_TEXTS,
+                                     _GATHER_TEXTS + 1, 3 * _GATHER_TEXTS + 5])
+def test_chunked_gather_matches_whole_batch_oracle(n_texts):
+    rng = np.random.default_rng(n_texts)
+    table = rng.normal(size=(300, 6)).astype(np.float32)
+    ids_list = [rng.integers(0, 300, size=rng.integers(0, 30))
+                for _ in range(n_texts)]
+    # empty texts on both sides of a chunk edge
+    for i in (0, _GATHER_TEXTS - 1, _GATHER_TEXTS):
+        if i < n_texts:
+            ids_list[i] = np.empty(0, dtype=np.int64)
+    got = _encode_batch(table, ids_list)
+    want = naive_encode_batch(table, ids_list)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+
+
+@pytest.mark.parametrize("buckets", [1, _INIT_ROWS - 1, _INIT_ROWS + 1, 1 << 16])
+def test_streamed_init_matches_one_draw(buckets):
+    enc = HashedBowEncoder(dim=64, buckets=buckets, seed=7)
+    rng = np.random.default_rng(7)
+    one_draw = rng.normal(0.0, 1.0 / np.sqrt(64),
+                          size=(buckets, 64)).astype(np.float32)
+    assert same_bits(enc.table, one_draw)
+
+
+def test_init_holds_no_float64_table():
+    """The f32 table (16 MiB) plus one float64 chunk (2 MiB); a one-shot
+    float64 draw took the peak to 48 MiB."""
+    tracemalloc.start()
+    try:
+        HashedBowEncoder(dim=64, buckets=1 << 16, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 def test_embed_corpus_matches_encode_text(encoder, small_synth):
     _, corpus, _ = small_synth
     docs = corpus.docs[:40]
@@ -283,10 +365,10 @@ def test_every_prefix_of_an_embedding_file_is_rejected(tmp_path, dtype):
 def test_train_encoder_keeps_no_table_sized_gradient():
     """Traced peak of a full-size run stays below a table-sized extra array.
 
-    AdamW's moments take 32 MiB for a 65536 x 64 f32 table and the step's
-    two (128, 128, 64) f64 temporaries 16 MiB: about 50 MiB in all. A
-    zero-filled table-sized gradient buffer (16 MiB) and a third (b, b, dim)
-    temporary took the peak to about 76 MiB.
+    AdamW's moments take 32 MiB for a 65536 x 64 f32 table, and the step's
+    row-blocked temporaries a few MiB: about 36 MiB in all. Whole-batch
+    (128, 128, 64) f64 temporaries took the peak to about 50 MiB, and a
+    zero-filled table-sized gradient buffer besides to about 76 MiB.
     """
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(5000)]
@@ -299,7 +381,7 @@ def test_train_encoder_keeps_no_table_sized_gradient():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 2**20
+    assert peak < 40 * 2**20
 
 
 def test_precomputed_store_renormalizes_and_warns(tmp_path, caplog):

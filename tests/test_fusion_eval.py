@@ -328,6 +328,30 @@ def test_run_score_formatting_six_significant_digits(tmp_path):
     assert lines[1].split()[4] == "1.23457e-05"
 
 
+def test_run_file_bytes_match_per_line_writes(tmp_path):
+    """One joined write gives the bytes of one f-string write per line."""
+    scores = [123456789.0, 1.0, 0.5, 1 / 3, 0.0001, 1.5e-05, 1e-07, 0.0, -0.0,
+              -2.5e-300]
+    fused = {"q10": [(f"d{i}", s) for i, s in enumerate(scores)],
+             "q2": [("x", 0.25)], "q1": [], "Q0": [("d9", 7.0), ("d8", 7.0)]}
+    run = run_from_rankings("fused_transh", fused)
+    path = tmp_path / "run.txt"
+    write_run(run, path)
+    expected = "".join(f"{qid} Q0 {doc_id} {rank} {score:.6g} {run.name}\n"
+                       for qid in sorted(run.rankings)
+                       for doc_id, score, rank in run.rankings[qid])
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert " 1e-07 " in expected and " 0 " in expected and " -0 " in expected
+    assert " 1.23457e+08 " in expected
+
+
+@pytest.mark.parametrize("weights", [(float("nan"), 0.0, 1.0),
+                                     (float("inf"), 0.0, 0.0)])
+def test_lambdas_reject_non_finite_weights(weights):
+    with pytest.raises(ConfigError):
+        Lambdas(*weights)
+
+
 def test_reports_format():
     report = evaluate_run("sys_a", {"q1": ["d1", "d2"]}, QrelSet({"q1": {"d1"}}))
     table = metrics_table([report])

@@ -128,10 +128,8 @@ def test_cli_edited_queries_make_score_stale(tiny_run, tmp_path, capsys):
         assert split_inputs == expected[stage], stage
 
 
-@pytest.mark.parametrize("artifact", ["dense/manifest.json", "dense/encoder.bin",
-                                      "index/index.bin", "not-an-object"])
-def test_cli_corrupt_artifact_exit_3(tiny_run, tmp_path, capsys, artifact):
-    """A stage reading a cut-short or malformed artifact exits 3 naming it."""
+def _copy_of_tiny_run(tiny_run, tmp_path):
+    """A private copy of the tiny workdir and a config file pointing at it."""
     import shutil
     _, src_workdir = tiny_run
     workdir = tmp_path / "w"
@@ -140,6 +138,14 @@ def test_cli_corrupt_artifact_exit_3(tiny_run, tmp_path, capsys, artifact):
     overrides = json.loads(json.dumps(TINY))
     overrides["paths"] = {"workdir": str(workdir)}
     cfg_path.write_text(json.dumps(overrides))
+    return workdir, cfg_path
+
+
+@pytest.mark.parametrize("artifact", ["dense/manifest.json", "dense/encoder.bin",
+                                      "index/index.bin", "not-an-object"])
+def test_cli_corrupt_artifact_exit_3(tiny_run, tmp_path, capsys, artifact):
+    """A stage reading a cut-short or malformed artifact exits 3 naming it."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
     if artifact == "not-an-object":
         path = workdir / "dense" / "manifest.json"
         path.write_text("[]\n")
@@ -151,6 +157,79 @@ def test_cli_corrupt_artifact_exit_3(tiny_run, tmp_path, capsys, artifact):
     assert main(["--config", str(cfg_path), "--force", "--quiet", "score"]) == 3
     err = capsys.readouterr().err
     assert str(path) in err
+    assert "Traceback" not in err
+
+
+def _drop_key(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("fix", [
+    pytest.param(_drop_key("query_id"), id="no-query-id"),
+    pytest.param(_drop_key("text"), id="no-text"),
+    pytest.param(_drop_key("year"), id="no-year"),
+    pytest.param(lambda record: {**record, "year": "spring"}, id="non-integer-year"),
+])
+def test_cli_corrupt_query_record_exit_3(tiny_run, tmp_path, capsys, fix):
+    """A query record without a required field or an integer year exits 3
+    naming the file and the line."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    path = workdir / "splits" / "val_queries.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps(fix(json.loads(lines[2])))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "score"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "line 3" in err
+    assert "Traceback" not in err
+
+
+def _set_transh(weights):
+    return lambda lambdas: json.dumps({**lambdas, "fused_transh": weights})
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda lambdas: '{"two_stage": {"bm25": 0.5,', id="unparseable"),
+    pytest.param(lambda lambdas: "[]", id="not-an-object"),
+    pytest.param(lambda lambdas: json.dumps(
+        {k: v for k, v in lambdas.items() if k != "fused_transh"}),
+        id="missing-system"),
+    pytest.param(_set_transh({"bm25": 0.5, "dense": 0.5, "user": 0.5}),
+                 id="bad-sum"),
+    pytest.param(_set_transh({"bm25": -0.5, "dense": 1.5, "user": 0.0}),
+                 id="negative"),
+    pytest.param(_set_transh({"bm25": float("nan"), "dense": 0.0, "user": 1.0}),
+                 id="nan"),
+    pytest.param(_set_transh({"bm25": 0.5, "dense": 0.5}), id="missing-weight"),
+    pytest.param(_set_transh({"bm25": 0.5, "dense": 0.5, "user": "high"}),
+                 id="string-weight"),
+    pytest.param(_set_transh([1.0, 0.0, 0.0]), id="not-a-mapping"),
+])
+def test_cli_corrupt_lambdas_exit_3(tiny_run, tmp_path, capsys, edit):
+    """``eval`` on an unreadable or invalid fusion weights file exits 3."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    path = workdir / "tune" / "lambdas.json"
+    path.write_text(edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "eval"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"test_queries": 3}', '{"cutoff_year": "soon"}',
+                                  '{"cutoff_year": null}', '{"cutoff_year": ',
+                                  '[2015]'])
+def test_cli_corrupt_split_record_exit_3(tiny_run, tmp_path, capsys, text):
+    """A split record without an integer cutoff year exits 3 naming it."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    path = workdir / "splits" / "split.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "build-kg"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
     assert "Traceback" not in err
 
 
