@@ -15,10 +15,17 @@ every pipeline stage has something real to learn:
   a paper belongs to is invisible in its text, so this signal is only
   reachable through authorship metadata.
 
-Everything is a pure function of (config, seed).
+Everything is a pure function of (config, seed): the generator is called
+in one fixed order with fixed arguments, so any edit that adds, drops,
+reorders or re-batches a draw changes the corpus. ``tests/test_synth.py``
+pins the output bytes with golden digests. The hot loops therefore speed up
+only around the draws: ``bisect_left`` on list copies of the cumulative
+weights returns what ``np.searchsorted`` returns for a float, and
+increasing ordinal lists are cut by bisection instead of being filtered.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,27 +123,28 @@ class _Vocab:
         self.shared = vocab[:n_shared]
         per_topic = (cfg.vocab_size - n_shared) // cfg.n_topics
         per_sub = per_topic // cfg.n_subtopics
+        n_concepts = max(1, per_sub // 2)
         self.topic_words: list[list[str]] = []
-        self.sub_words: list[list[list[str]]] = []
+        # sub_forms[topic][sub][dialect][concept]: the concept's word of its
+        # synonym pair in that dialect (the block's last word when the pair
+        # is cut short)
+        self.sub_forms: list[list[list[list[str]]]] = []
         for t in range(cfg.n_topics):
             base = n_shared + t * per_topic
             block = vocab[base: base + per_topic]
             self.topic_words.append(block)
-            self.sub_words.append(
-                [block[s * per_sub: (s + 1) * per_sub]
-                 for s in range(cfg.n_subtopics)])
-        self.shared_cdf = _zipf_cdf(len(self.shared))
-        self.topic_cdf = _zipf_cdf(per_topic)
-        self.concept_cdf = _zipf_cdf(max(1, per_sub // 2))
-
-    def draw(self, rng, words: list[str], cdf: np.ndarray) -> str:
-        return words[int(np.searchsorted(cdf, rng.random()))]
-
-    def draw_sub(self, rng, topic: int, sub: int, dialect: int) -> str:
-        """Concept by Zipf; the surface form is the document's dialect."""
-        block = self.sub_words[topic][sub]
-        concept = int(np.searchsorted(self.concept_cdf, rng.random()))
-        return block[min(2 * concept + dialect, len(block) - 1)]
+            subs = [block[s * per_sub: (s + 1) * per_sub]
+                    for s in range(cfg.n_subtopics)]
+            self.sub_forms.append(
+                [[[sb[min(2 * c + dialect, len(sb) - 1)]
+                   for c in range(n_concepts)] for dialect in (0, 1)]
+                 for sb in subs])
+        # Python lists: bisect_left on one returns the first i with
+        # cdf[i] >= u, as np.searchsorted does, without numpy's per-call
+        # cost. generate_synthetic's text_tokens makes the draws.
+        self.shared_cdf = _zipf_cdf(len(self.shared)).tolist()
+        self.topic_cdf = _zipf_cdf(per_topic).tolist()
+        self.concept_cdf = _zipf_cdf(n_concepts).tolist()
 
 
 def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Author]]:
@@ -149,7 +157,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
     # Affiliations carry topics; authors inherit their affiliation's topic as
     # their first affinity, which is what makes the affiliation node useful.
     aff_topic = np.arange(cfg.n_affiliations) % cfg.n_topics
-    author_aff = rng.integers(0, cfg.n_affiliations, size=cfg.n_authors)
+    author_aff = rng.integers(0, cfg.n_affiliations, size=cfg.n_authors).tolist()
     author_topics: list[list[int]] = []
     for a in range(cfg.n_authors):
         affin = [int(aff_topic[author_aff[a]])]
@@ -179,13 +187,14 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
     # that must lean on metadata edges.
     span = max(1, cfg.year_max - cfg.year_min)
     frac = np.arange(cfg.n_authors) / max(1, cfg.n_authors - 1)
-    activation = (cfg.year_min + (frac ** 0.7) * span * 0.95).astype(np.int64)
+    activation = (cfg.year_min
+                  + (frac ** 0.7) * span * 0.95).astype(np.int64).tolist()
     zipf_w = 1.0 / np.arange(1, cfg.n_authors + 1, dtype=np.float64) ** 0.9
-    lead_cdf_by_year: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    lead_cdf_by_year: dict[int, tuple[list[int], list[float]]] = {}
     for y in range(cfg.year_min, cfg.year_max + 1):
-        active = np.flatnonzero(activation <= y)
+        active = [a for a, start in enumerate(activation) if start <= y]
         cdf = np.cumsum(zipf_w[active])
-        lead_cdf_by_year[y] = (active, cdf / cdf[-1])
+        lead_cdf_by_year[y] = (active, (cdf / cdf[-1]).tolist())
 
     def pick_coauthor(pool, year):
         """Seniors by productivity most of the time, a recent junior otherwise."""
@@ -205,47 +214,63 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
     years_range = np.arange(cfg.year_min, cfg.year_max + 1)
     year_weights = np.linspace(1.0, 2.0, len(years_range))
     year_weights /= year_weights.sum()
-    years = np.sort(rng.choice(years_range, size=cfg.n_docs, p=year_weights))
+    years = np.sort(rng.choice(years_range, size=cfg.n_docs,
+                               p=year_weights)).tolist()
 
     all_authors = list(range(cfg.n_authors))
+    # Ordinals are appended in increasing order, so each of these lists is
+    # sorted and its part below a bound is a prefix found by bisection.
     author_docs: list[list[int]] = [[] for _ in range(cfg.n_authors)]
     aff_docs: list[list[int]] = [[] for _ in range(cfg.n_affiliations)]
     sub_docs: dict[tuple[int, int], list[int]] = {}
     aff_subtopic: dict[tuple[int, int], int] = {}
     doc_refs: list[list[int]] = []
-    doc_topic = np.empty(cfg.n_docs, dtype=np.int64)
-    doc_sub = np.empty(cfg.n_docs, dtype=np.int64)
-    title_tokens_by_doc: list[list[str]] = []
+    doc_topic: list[int] = []
+    doc_sub: list[int] = []
+    # each document's title without stopwords: what its citers borrow
+    title_words_by_doc: list[list[str]] = []
     docs: list[Document] = []
 
+    random, integers = rng.random, rng.integers
+    stopword_prob = cfg.stopword_prob
+    n_stop = len(_TITLE_STOPWORDS)
+    shared, shared_cdf = vocab.shared, vocab.shared_cdf
+    topic_words, topic_cdf = vocab.topic_words, vocab.topic_cdf
+    concept_cdf = vocab.concept_cdf
+
     def text_tokens(n, primary, sub, dialect, secondary, ref_pool, mix):
-        """mix = (p_sub, p_ref, p_topic); remainder goes to the shared pool."""
+        """mix = (p_sub, p_ref, p_topic); remainder goes to the shared pool.
+
+        Subtopic concepts are drawn by Zipf and surface in the document's
+        dialect; topic and shared words are drawn by Zipf over their block.
+        """
         out = []
+        append = out.append
         p_sub, p_ref, p_topic = mix
+        p_ref_sub = p_ref + p_sub
+        p_ref_sub_topic = p_ref_sub + p_topic
+        forms = vocab.sub_forms[primary][sub][dialect]
         for _ in range(n):
-            u = rng.random()
-            if u < cfg.stopword_prob:
-                out.append(_TITLE_STOPWORDS[int(rng.random()
-                                                * len(_TITLE_STOPWORDS))])
+            if random() < stopword_prob:
+                append(_TITLE_STOPWORDS[int(random() * n_stop)])
                 continue
-            u = rng.random()
+            u = random()
             if u < p_ref and ref_pool:
-                out.append(ref_pool[int(rng.integers(len(ref_pool)))])
-            elif u < p_ref + p_sub:
-                out.append(vocab.draw_sub(rng, primary, sub, dialect))
-            elif u < p_ref + p_sub + p_topic:
+                append(ref_pool[int(integers(len(ref_pool)))])
+            elif u < p_ref_sub:
+                append(forms[bisect_left(concept_cdf, random())])
+            elif u < p_ref_sub_topic:
                 topic = primary
-                if secondary is not None and rng.random() < 0.25:
+                if secondary is not None and random() < 0.25:
                     topic = secondary
-                out.append(vocab.draw(rng, vocab.topic_words[topic],
-                                      vocab.topic_cdf))
+                append(topic_words[topic][bisect_left(topic_cdf, random())])
             else:
-                out.append(vocab.draw(rng, vocab.shared, vocab.shared_cdf))
+                append(shared[bisect_left(shared_cdf, random())])
         return out
 
     for i in range(cfg.n_docs):
-        year = int(years[i])
-        elig_end = int(np.searchsorted(years, year, side="left"))
+        year = years[i]
+        elig_end = bisect_left(years, year)
 
         if rng.random() < cfg.authorless_prob:
             team: list[int] = []
@@ -253,7 +278,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
             aff_of_lead = None
         else:
             active, lead_cdf = lead_cdf_by_year[year]
-            lead = int(active[int(np.searchsorted(lead_cdf, rng.random()))])
+            lead = active[bisect_left(lead_cdf, rng.random())]
             team = [lead]
             team_size = int(rng.integers(1, 4))
             attempts = 0
@@ -272,7 +297,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
                     team.append(int(cand))
             primary = author_topics[lead][int(rng.integers(
                 len(author_topics[lead])))]
-            aff_of_lead = int(author_aff[lead])
+            aff_of_lead = author_aff[lead]
+        team_affs = {author_aff[a] for a in team}
         # Affiliations keep working on the same subtopic most of the time,
         # which concentrates each social cluster in a lexical neighborhood.
         key = (aff_of_lead, primary) if aff_of_lead is not None else None
@@ -287,21 +313,19 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
         # Every document writes all its subtopic terms in one of two synonym
         # dialects; exact matching sees only half the neighborhood.
         dialect = 1 if rng.random() < 0.5 else 0
-        doc_topic[i] = primary
-        doc_sub[i] = sub
+        doc_topic.append(primary)
+        doc_sub.append(sub)
 
         # References: social pool first, then same-subtopic, then anything
         # earlier. Copying a cited paper's reference skews in-degree.
         refs: list[int] = []
         if elig_end > 0:
             social: list[int] = []
-            for a in team:
-                social.extend(author_docs[a])
-            for aff in {int(author_aff[a]) for a in team}:
-                social.extend(aff_docs[aff])
-            social = [d for d in social if d < elig_end]
-            same_sub = [d for d in sub_docs.get((primary, sub), ())
-                        if d < elig_end]
+            for lst in ([author_docs[a] for a in team]
+                        + [aff_docs[aff] for aff in team_affs]):
+                social.extend(lst[:bisect_left(lst, elig_end)])
+            same_sub = sub_docs.get((primary, sub), [])
+            same_sub = same_sub[:bisect_left(same_sub, elig_end)]
             n_refs = min(int(rng.poisson(cfg.refs_mean)), cfg.refs_max, elig_end)
             chosen: set[int] = set()
             for _ in range(n_refs):
@@ -332,8 +356,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
         # Words this paper borrows from the titles of what it cites.
         ref_pool: list[str] = []
         for r in refs:
-            ref_pool.extend(w for w in title_tokens_by_doc[r]
-                            if w not in _TITLE_STOPWORDS)
+            ref_pool.extend(title_words_by_doc[r])
 
         title_tokens = text_tokens(
             int(rng.integers(cfg.title_len[0], cfg.title_len[1] + 1)),
@@ -355,10 +378,11 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
 
         for a in team:
             author_docs[a].append(i)
-        for aff in {int(author_aff[a]) for a in team}:
+        for aff in team_affs:
             aff_docs[aff].append(i)
         sub_docs.setdefault((primary, sub), []).append(i)
-        title_tokens_by_doc.append(title_tokens)
+        title_words_by_doc.append([w for w in title_tokens
+                                   if w not in _TITLE_STOPWORDS])
         byline = list(team)
         if len(byline) > 1 and rng.random() < cfg.junior_first_prob:
             junior = max(byline, key=lambda a: (activation[a], a))
@@ -377,8 +401,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Aut
     authors = [Author(f"u{a:04d}", f"a{author_aff[a]:03d}")
                for a in range(cfg.n_authors)]
     extras = {
-        "doc_topics": doc_topic.tolist(),
-        "doc_subtopics": doc_sub.tolist(),
+        "doc_topics": doc_topic,
+        "doc_subtopics": doc_sub,
         "author_topics": {f"u{a:04d}": author_topics[a]
                           for a in range(cfg.n_authors)},
         "affiliation_topics": {f"a{k:03d}": int(aff_topic[k])

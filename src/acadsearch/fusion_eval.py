@@ -46,6 +46,10 @@ class Lambdas:
     user: float
 
     def __post_init__(self):
+        # bool is an int subclass, so True/False would pass the checks below
+        if any(isinstance(w, (bool, np.bool_))
+               for w in (self.bm25, self.dense, self.user)):
+            raise ConfigError(f"fusion weights must be numbers, not booleans: {self}")
         total = self.bm25 + self.dense + self.user
         if min(self.bm25, self.dense, self.user) < 0:
             raise ConfigError(f"fusion weights must be nonnegative: {self}")

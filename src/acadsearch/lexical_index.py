@@ -50,8 +50,12 @@ class InvertedIndex:
     """Term -> postings of (doc ordinal, term frequency), ordinals in build order.
 
     Postings are stored as parallel numpy arrays per term so query-time
-    scoring is vectorized. The index is immutable after construction and
-    safe to share across threads.
+    scoring is vectorized. Postings and collection statistics are immutable
+    after construction. ``score_all`` caches each queried term's
+    per-posting BM25 contributions for the most recent (k1, b), at most one
+    f64 per posting. A fill only adds a finished array computed from the
+    immutable data, and a new (k1, b) swaps in a fresh cache, so the index
+    stays safe to share across threads.
     """
 
     def __init__(self, doc_ids: list[str], doc_lengths: np.ndarray,
@@ -61,6 +65,9 @@ class InvertedIndex:
         self.doc_count = len(self.doc_ids)
         self.avg_doc_len = float(self.doc_lengths.sum() / self.doc_count) if self.doc_count else 0.0
         self.postings = postings
+        # ((k1, b), per-document length norm, term -> contribution array)
+        self._contrib: tuple[tuple[float, float], np.ndarray,
+                             dict[str, np.ndarray]] | None = None
 
     def df(self, term: str) -> int:
         entry = self.postings.get(term)
@@ -108,45 +115,32 @@ def build_index(documents) -> InvertedIndex:
     return InvertedIndex(doc_ids, np.asarray(lengths, dtype=np.int64), postings)
 
 
-def bm25_score(index: InvertedIndex, query_tokens: list[str], ordinal: int,
-               params: BM25Params | None = None) -> float:
-    """Score a single document for a tokenized query."""
-    params = params or BM25Params()
-    if not 0 <= ordinal < index.doc_count:
-        raise ValueError(f"doc ordinal {ordinal} out of range")
-    length_norm = params.k1 * (1.0 - params.b
-                               + params.b * index.doc_lengths[ordinal] / index.avg_doc_len)
-    score = 0.0
-    for term in query_tokens:
-        entry = index.postings.get(term)
-        if entry is None:
-            continue
-        ords, tfs = entry
-        pos = np.searchsorted(ords, ordinal)
-        if pos == len(ords) or ords[pos] != ordinal:
-            continue
-        tf = float(tfs[pos])
-        score += index.idf(term) * tf * (params.k1 + 1.0) / (tf + length_norm)
-    return score
-
-
 def score_all(index: InvertedIndex, query_tokens: list[str],
               params: BM25Params | None = None) -> np.ndarray:
-    """BM25 scores for every document; zero where no query term matches."""
+    """BM25 scores for every document; zero where no query term matches.
+
+    Terms are added in query order, and a duplicate query term contributes
+    once per occurrence.
+    """
     params = params or BM25Params()
+    cache = index._contrib
+    if cache is None or cache[0] != (params.k1, params.b):
+        norm_base = params.k1 * (1.0 - params.b
+                                 + params.b * index.doc_lengths / index.avg_doc_len)
+        cache = index._contrib = ((params.k1, params.b), norm_base, {})
+    _, norm_base, contribs = cache
     scores = np.zeros(index.doc_count, dtype=np.float64)
-    norm_base = params.k1 * (1.0 - params.b
-                             + params.b * index.doc_lengths / index.avg_doc_len)
-    # Duplicate query terms contribute once per occurrence, matching the
-    # per-token sum in bm25_score.
     for term in query_tokens:
         entry = index.postings.get(term)
         if entry is None:
             continue
         ords, tfs = entry
-        idf = index.idf(term)
-        tf = tfs.astype(np.float64)
-        scores[ords] += idf * tf * (params.k1 + 1.0) / (tf + norm_base[ords])
+        contrib = contribs.get(term)
+        if contrib is None:
+            tf = tfs.astype(np.float64)
+            contrib = index.idf(term) * tf * (params.k1 + 1.0) / (tf + norm_base[ords])
+            contribs[term] = contrib
+        scores[ords] += contrib
     return scores
 
 
@@ -162,16 +156,17 @@ def retrieve_topk(index: InvertedIndex, query_tokens: list[str], k: int,
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     scores = score_all(index, query_tokens, params)
-    if allowed is not None:
-        scores = np.where(allowed, scores, 0.0)
     nonzero = np.flatnonzero(scores > 0.0)
-    if len(nonzero) == 0:
-        return []
-    # Full sort of the nonzero slice keeps boundary ties exact; at desk scale
-    # this beats a tie-fragile argpartition.
-    order = nonzero[np.lexsort((nonzero, -scores[nonzero]))]
-    top = order[:k]
-    return [(int(o), float(scores[o])) for o in top]
+    if allowed is not None:
+        nonzero = nonzero[np.asarray(allowed, dtype=bool)[nonzero]]
+    if len(nonzero) > k:
+        # Keep every score at or above the k-th largest: ties straddling
+        # place k all stay in, so sorting the kept set gives the same top k
+        # as sorting every nonzero score.
+        vals = scores[nonzero]
+        nonzero = nonzero[vals >= np.partition(vals, len(vals) - k)[len(vals) - k]]
+    order = nonzero[np.lexsort((nonzero, -scores[nonzero]))][:k]
+    return list(zip(order.tolist(), scores[order].tolist()))
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

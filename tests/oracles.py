@@ -50,6 +50,34 @@ def naive_bm25_score(tf_by_term, doc_len, avg_len, n_docs, df_by_term,
     return score
 
 
+def frozen_retrieve_topk(index, query_tokens, k, k1=0.9, b=0.4, allowed=None):
+    """BM25 top-k by scoring every document and sorting every nonzero score.
+
+    A frozen copy of the library's first full-sort form, reading only the
+    index's ``postings``, ``doc_lengths``, ``avg_doc_len`` and ``doc_count``.
+    Each term's score is the same expression the library evaluates, in the
+    same order, so the two must agree bit for bit.
+    """
+    scores = np.zeros(index.doc_count, dtype=np.float64)
+    norm_base = k1 * (1.0 - b + b * index.doc_lengths / index.avg_doc_len)
+    for term in query_tokens:
+        entry = index.postings.get(term)
+        if entry is None:
+            continue
+        ords, tfs = entry
+        df = len(ords)
+        idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+        tf = tfs.astype(np.float64)
+        scores[ords] += idf * tf * (k1 + 1.0) / (tf + norm_base[ords])
+    if allowed is not None:
+        scores = np.where(allowed, scores, 0.0)
+    nonzero = np.flatnonzero(scores > 0.0)
+    if len(nonzero) == 0:
+        return []
+    order = nonzero[np.lexsort((nonzero, -scores[nonzero]))]
+    return [(int(o), float(scores[o])) for o in order[:k]]
+
+
 def reference_pagerank(n, edges, alpha=0.85, iterations=10000, tol=1e-14):
     """Dense-matrix power iteration run (effectively) to convergence."""
     out_deg = [0] * n

@@ -25,8 +25,8 @@ from acadsearch.kg_embed import (KGTrainConfig, encode_triples, heldout_split,
                                  load_kg_embeddings, train_kg,
                                  transe_pair_grads, transh_pair_grads,
                                  transh_project)
-from acadsearch.lexical_index import (BM25Params, bm25_score, build_index,
-                                      retrieve_topk, tokenize)
+from acadsearch.lexical_index import (BM25Params, build_index, retrieve_topk,
+                                      tokenize)
 from acadsearch.pipeline import Pipeline, merge_config
 from oracles import (central_difference, naive_bm25_score, naive_map_at_k,
                      naive_mrr_at_k, naive_ndcg_at_k, reference_pagerank,

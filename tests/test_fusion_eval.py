@@ -352,6 +352,19 @@ def test_lambdas_reject_non_finite_weights(weights):
         Lambdas(*weights)
 
 
+@pytest.mark.parametrize("weights", [(True, False, False), (False, 1.0, False),
+                                     (0.0, 0.0, True), (np.True_, 0.0, 0.0)])
+def test_lambdas_reject_boolean_weights(weights):
+    """True + False + False == 1, so booleans would otherwise pass."""
+    with pytest.raises(ConfigError, match="boolean"):
+        Lambdas(*weights)
+
+
+def test_lambdas_accept_integer_weights():
+    assert Lambdas(1, 0, 0).as_array().tolist() == [1.0, 0.0, 0.0]
+    assert Lambdas(0, np.int64(1), 0.0).as_array().tolist() == [0.0, 1.0, 0.0]
+
+
 def test_reports_format():
     report = evaluate_run("sys_a", {"q1": ["d1", "d2"]}, QrelSet({"q1": {"d1"}}))
     table = metrics_table([report])

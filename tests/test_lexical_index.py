@@ -6,10 +6,10 @@ import pytest
 
 from acadsearch.corpus import make_query
 from acadsearch.errors import ConfigError, DataFormatError
-from acadsearch.lexical_index import (BM25Params, bm25_score, build_index,
-                                      load_index, retrieve_topk, save_index,
-                                      score_all, tokenize)
-from oracles import naive_bm25_score
+from acadsearch.lexical_index import (BM25Params, build_index, load_index,
+                                      retrieve_topk, save_index, score_all,
+                                      tokenize)
+from oracles import frozen_retrieve_topk, naive_bm25_score
 
 
 def test_tokenize_examples():
@@ -56,22 +56,22 @@ def test_bm25_hand_formula():
     idf_a = math.log(1 + (n - 2 + 0.5) / (2 + 0.5))
     for ordinal, tf, length in ((0, 1.0, 2), (1, 2.0, 3)):
         expected = idf_a * tf * (k1 + 1) / (tf + k1 * (1 - b + b * length / avg))
-        got = bm25_score(index, ["a"], ordinal, BM25Params(k1, b))
+        got = score_all(index, ["a"], BM25Params(k1, b))[ordinal]
         assert got == pytest.approx(expected, abs=1e-12)
-    assert bm25_score(index, ["a"], 2) == 0.0
+    assert score_all(index, ["a"])[2] == 0.0
 
 
 def test_bm25_empty_query_and_symmetry():
     index = build_index([("d0", "x y"), ("d1", "y x")])
-    assert bm25_score(index, ["zzz"], 0) == 0.0
-    assert bm25_score(index, ["x", "y"], 0) == \
-        pytest.approx(bm25_score(index, ["x", "y"], 1), abs=1e-15)
+    assert score_all(index, ["zzz"]).tolist() == [0.0, 0.0]
+    scores = score_all(index, ["x", "y"])
+    assert scores[0] == pytest.approx(scores[1], abs=1e-15)
 
 
 def test_bm25_duplicate_query_terms_double():
     index = build_index([("d0", "x y")])
-    assert bm25_score(index, ["x", "x"], 0) == \
-        pytest.approx(2 * bm25_score(index, ["x"], 0), abs=1e-12)
+    assert score_all(index, ["x", "x"])[0] == \
+        pytest.approx(2 * score_all(index, ["x"])[0], abs=1e-12)
 
 
 def test_df_matches_linear_scan(small_synth):
@@ -88,7 +88,7 @@ def test_df_matches_linear_scan(small_synth):
 def test_retrieve_topk_basics():
     index = build_index([("d0", "apple pie")])
     assert retrieve_topk(index, ["apple"], 1) == [(0, pytest.approx(
-        bm25_score(index, ["apple"], 0)))]
+        score_all(index, ["apple"])[0]))]
     assert retrieve_topk(index, [], 5) == []
     assert retrieve_topk(index, ["banana"], 5) == []
     with pytest.raises(ConfigError):
@@ -170,7 +170,7 @@ def test_monotonic_in_tf():
         docs = [("d0", " ".join(["x"] * tf) + " " + " ".join(["y"] * (8 - tf))),
                 ("d1", "z z z z z z z z")]
         index = build_index(docs)
-        score = bm25_score(index, ["x"], 0)
+        score = score_all(index, ["x"])[0]
         assert score >= prev
         prev = score
 
@@ -184,19 +184,95 @@ def test_unrelated_doc_changes_nothing_with_stats_held_fixed():
     index_b.avg_doc_len = index_a.avg_doc_len
     for ordinal in (0, 1):
         for tokens in (["x"], ["x", "y"], ["w", "z"]):
-            assert bm25_score(index_b, tokens, ordinal) == pytest.approx(
-                bm25_score(index_a, tokens, ordinal), abs=1e-15)
+            assert score_all(index_b, tokens)[ordinal] == pytest.approx(
+                score_all(index_a, tokens)[ordinal], abs=1e-15)
 
 
-def test_score_all_agrees_with_bm25_score(small_synth):
+def test_score_all_agrees_with_naive_oracle(small_synth):
     _, corpus, _ = small_synth
     index = build_index([(d.doc_id, d.text()) for d in corpus.docs[:300]])
-    tokens = tokenize(corpus.docs[100].title)
+    tokens = tokenize(corpus.docs[100].title) + ["unknownterm"]
+    df = {t: index.df(t) for t in tokens}
     scores = score_all(index, tokens)
     rng = np.random.default_rng(2)
     for ordinal in rng.choice(300, size=40, replace=False):
-        assert scores[ordinal] == pytest.approx(
-            bm25_score(index, tokens, int(ordinal)), abs=1e-12)
+        tf_map = {}
+        for t in set(tokens):
+            ords, tfs = index.postings.get(t, ([], []))
+            if ordinal in ords:
+                tf_map[t] = int(tfs[list(ords).index(ordinal)])
+        expected = naive_bm25_score(tf_map, int(index.doc_lengths[ordinal]),
+                                    index.avg_doc_len, index.doc_count, df,
+                                    tokens)
+        assert scores[ordinal] == pytest.approx(expected, abs=1e-12)
+
+
+def _pairs_equal(got, expected):
+    """``==`` on (int, float) pairs, after checking the element types."""
+    assert all(type(o) is int and type(s) is float for o, s in got)
+    return got == expected
+
+
+def test_retrieve_topk_matches_frozen_full_sort_named_cases():
+    # d0..d3 tie on "x"; d4, d5 score higher on "x"; d6 matches only "y"
+    index = build_index([("d0", "x a"), ("d1", "x a"), ("d2", "x a"),
+                         ("d3", "x a"), ("d4", "x x"), ("d5", "x x"),
+                         ("d6", "y b"), ("d7", "c d")])
+    cases = [
+        (["x"], 3, None),                 # ties straddle place 3
+        (["x"], 4, None),                 # ... and place 4
+        (["x"], 2, None),                 # the kth score is a tie of two
+        (["x"], 1, None),
+        (["x"], 6, None),                 # k equals the number of matches
+        (["x"], 50, None),                # k above it
+        (["x", "y"], 7, None),
+        (["x", "x", "y"], 3, None),       # duplicate term
+        (["zzz", "x", "qqq"], 3, None),   # unknown terms around a known one
+        (["zzz"], 5, None),               # no match
+        ([], 5, None),
+        (["x"], 2, np.array([1, 0, 1, 1, 0, 1, 1, 1], dtype=bool)),
+        (["x"], 3, np.array([0, 1, 1, 1, 0, 0, 0, 1], dtype=bool)),
+        (["x", "y"], 10, np.zeros(8, dtype=bool)),
+        (["y"], 1, np.array([0, 0, 0, 0, 0, 0, 1, 0], dtype=bool)),
+    ]
+    for tokens, k, allowed in cases:
+        got = retrieve_topk(index, tokens, k, allowed=allowed)
+        expected = frozen_retrieve_topk(index, tokens, k, allowed=allowed)
+        assert _pairs_equal(got, expected), (tokens, k, allowed)
+    assert [o for o, _ in retrieve_topk(index, ["x"], 3)] == [4, 5, 0]
+
+
+def test_retrieve_topk_matches_frozen_full_sort_on_corpus(small_synth):
+    _, corpus, _ = small_synth
+    index = build_index([(d.doc_id, d.text()) for d in corpus.docs])
+    years = np.asarray([d.year for d in corpus.docs])
+    rng = np.random.default_rng(4)
+    params = [BM25Params(), BM25Params(0.9, 0.75), BM25Params(1.2, 0.75)]
+    for i in rng.choice(len(corpus.docs), size=60, replace=False):
+        tokens = tokenize(corpus.docs[i].title)
+        # alternating parameters swap the contribution cache back and forth
+        p = params[int(i) % len(params)]
+        allowed = years < corpus.docs[i].year if i % 2 else None
+        for k in (1, 7, 100, len(corpus.docs)):
+            got = retrieve_topk(index, tokens, k, p, allowed=allowed)
+            expected = frozen_retrieve_topk(index, tokens, k, p.k1, p.b,
+                                            allowed=allowed)
+            assert _pairs_equal(got, expected)
+
+
+def test_contribution_cache_holds_at_most_one_value_per_posting(small_synth):
+    """Scoring every term under two (k1, b) in turn keeps one f64 per
+    posting and gives the scores a fresh index gives."""
+    _, corpus, _ = small_synth
+    docs = [(d.doc_id, d.text()) for d in corpus.docs[:300]]
+    index = build_index(docs)
+    terms = index.terms() + index.terms()[:10]
+    score_all(index, terms)
+    score_all(index, terms, BM25Params(1.2, 0.75))
+    assert np.array_equal(score_all(index, terms),
+                          score_all(build_index(docs), terms))
+    cached = sum(len(c) for c in index._contrib[2].values())
+    assert cached == sum(len(ords) for ords, _ in index.postings.values())
 
 
 def test_snapshot_roundtrip(tmp_path, small_synth):

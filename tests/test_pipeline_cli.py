@@ -205,6 +205,8 @@ def _set_transh(weights):
     pytest.param(_set_transh({"bm25": 0.5, "dense": 0.5, "user": "high"}),
                  id="string-weight"),
     pytest.param(_set_transh([1.0, 0.0, 0.0]), id="not-a-mapping"),
+    pytest.param(_set_transh({"bm25": True, "dense": False, "user": False}),
+                 id="boolean-weights"),
 ])
 def test_cli_corrupt_lambdas_exit_3(tiny_run, tmp_path, capsys, edit):
     """``eval`` on an unreadable or invalid fusion weights file exits 3."""
