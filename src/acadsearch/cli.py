@@ -30,9 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (defaults built in)")
     parser.add_argument("--workdir", help="override paths.workdir")
     parser.add_argument("--seed", type=int, help="override the global seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for encoder training, embedding "
-                        "and KG training; outputs do not depend on it")
     parser.add_argument("--force", action="store_true",
                         help="run even if upstream artifacts look stale")
     parser.add_argument("--quiet", action="store_true",
@@ -67,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg["paths"]["workdir"] = args.workdir
         if args.seed is not None:
             cfg["seed"] = args.seed
-        pipeline = Pipeline(cfg, threads=args.threads, force=args.force)
+        pipeline = Pipeline(cfg, force=args.force)
         stage_fn = {
             "synth": pipeline.stage_synth,
             "ingest": pipeline.stage_ingest,

@@ -11,6 +11,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from ..errors import DataFormatError
 from .model import Author, Corpus, Document, Query, QrelSet
@@ -25,6 +26,32 @@ class IngestReport:
     documents: int = 0
     self_references_dropped: int = 0
     dangling_references_dropped: int = 0
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line of a UTF-8 text file.
+
+    Lines keep their newline, translated as text-mode ``open`` does. A byte
+    sequence that is not UTF-8 raises DataFormatError naming the file, the
+    line and the byte offset.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise _utf8_error(Path(path)) from None
+
+
+def _utf8_error(path: Path) -> DataFormatError:
+    # the text decoder reads ahead in chunks, so locate the bad byte anew
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataFormatError(f"{path}: invalid UTF-8 on line {line} "
+                               f"(byte {exc.start}): {exc.reason}")
+    return DataFormatError(f"{path}: invalid UTF-8")
 
 
 def _parse_line(line: str, lineno: int, path) -> dict:
@@ -43,37 +70,36 @@ def load_corpus(path: str | Path, authors_path: str | Path | None = None
     path = Path(path)
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_line(line, lineno, path)
-            missing = [f for f in ("doc_id", "title", "year") if f not in record]
-            if missing:
-                raise DataFormatError(
-                    f"{path}: record on line {lineno} missing fields {missing}")
-            doc_id = str(record["doc_id"])
-            if doc_id in seen:
-                raise DataFormatError(
-                    f"{path}: duplicate doc_id {doc_id!r} on line {lineno} "
-                    f"(first seen on line {seen[doc_id]})")
-            seen[doc_id] = lineno
-            try:
-                year = int(record["year"])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{path}: non-integer year on line {lineno}") from None
-            docs.append(Document(
-                doc_id=doc_id,
-                title=str(record["title"]),
-                abstract=str(record.get("abstract", "")),
-                author_ids=[str(a) for a in record.get("author_ids", [])],
-                venue_id=(str(record["venue_id"])
-                          if record.get("venue_id") is not None else None),
-                year=year,
-                references=[str(r) for r in record.get("references", [])],
-            ))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        record = _parse_line(line, lineno, path)
+        missing = [f for f in ("doc_id", "title", "year") if f not in record]
+        if missing:
+            raise DataFormatError(
+                f"{path}: record on line {lineno} missing fields {missing}")
+        doc_id = str(record["doc_id"])
+        if doc_id in seen:
+            raise DataFormatError(
+                f"{path}: duplicate doc_id {doc_id!r} on line {lineno} "
+                f"(first seen on line {seen[doc_id]})")
+        seen[doc_id] = lineno
+        try:
+            year = int(record["year"])
+        except (TypeError, ValueError):
+            raise DataFormatError(
+                f"{path}: non-integer year on line {lineno}") from None
+        docs.append(Document(
+            doc_id=doc_id,
+            title=str(record["title"]),
+            abstract=str(record.get("abstract", "")),
+            author_ids=[str(a) for a in record.get("author_ids", [])],
+            venue_id=(str(record["venue_id"])
+                      if record.get("venue_id") is not None else None),
+            year=year,
+            references=[str(r) for r in record.get("references", [])],
+        ))
     report = IngestReport(documents=len(docs))
     known = set(seen)
     for doc in docs:
@@ -115,25 +141,24 @@ def load_authors(path: str | Path) -> list[Author]:
     path = Path(path)
     authors: list[Author] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_line(line, lineno, path)
-            if "author_id" not in record:
-                raise DataFormatError(f"{path}: author record on line {lineno} "
-                                      f"missing author_id")
-            author_id = str(record["author_id"])
-            if author_id in seen:
-                raise DataFormatError(f"{path}: duplicate author_id {author_id!r} "
-                                      f"on line {lineno}")
-            seen.add(author_id)
-            aff = record.get("affiliation_id")
-            if isinstance(aff, list):
-                # Single affiliation per author; extra entries are ignored.
-                aff = aff[0] if aff else None
-            authors.append(Author(author_id, str(aff) if aff is not None else None))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        record = _parse_line(line, lineno, path)
+        if "author_id" not in record:
+            raise DataFormatError(f"{path}: author record on line {lineno} "
+                                  f"missing author_id")
+        author_id = str(record["author_id"])
+        if author_id in seen:
+            raise DataFormatError(f"{path}: duplicate author_id {author_id!r} "
+                                  f"on line {lineno}")
+        seen.add(author_id)
+        aff = record.get("affiliation_id")
+        if isinstance(aff, list):
+            # Single affiliation per author; extra entries are ignored.
+            aff = aff[0] if aff else None
+        authors.append(Author(author_id, str(aff) if aff is not None else None))
     return authors
 
 
@@ -155,30 +180,29 @@ def save_queries(queries: list[Query], path: str | Path) -> None:
 def load_queries(path: str | Path) -> list[Query]:
     path = Path(path)
     queries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_line(line, lineno, path)
-            missing = [f for f in ("query_id", "text", "year") if f not in record]
-            if missing:
-                raise DataFormatError(
-                    f"{path}: query record on line {lineno} missing fields {missing}")
-            try:
-                year = int(record["year"])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{path}: non-integer year on line {lineno}") from None
-            queries.append(Query(
-                query_id=str(record["query_id"]),
-                user_id=(str(record["user_id"])
-                         if record.get("user_id") is not None else None),
-                text=str(record["text"]),
-                year=year,
-                source_doc_id=(str(record["source_doc_id"])
-                               if record.get("source_doc_id") is not None else None),
-            ))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        record = _parse_line(line, lineno, path)
+        missing = [f for f in ("query_id", "text", "year") if f not in record]
+        if missing:
+            raise DataFormatError(
+                f"{path}: query record on line {lineno} missing fields {missing}")
+        try:
+            year = int(record["year"])
+        except (TypeError, ValueError):
+            raise DataFormatError(
+                f"{path}: non-integer year on line {lineno}") from None
+        queries.append(Query(
+            query_id=str(record["query_id"]),
+            user_id=(str(record["user_id"])
+                     if record.get("user_id") is not None else None),
+            text=str(record["text"]),
+            year=year,
+            source_doc_id=(str(record["source_doc_id"])
+                           if record.get("source_doc_id") is not None else None),
+        ))
     return queries
 
 
@@ -193,19 +217,18 @@ def save_qrels(qrels: QrelSet, path: str | Path) -> None:
 def load_qrels(path: str | Path) -> QrelSet:
     path = Path(path)
     qrels = QrelSet()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}: expected 4 fields on line {lineno}, "
-                                      f"got {len(parts)}")
-            qid, _, doc_id, rel = parts
-            if rel not in ("0", "1"):
-                raise DataFormatError(f"{path}: non-binary relevance {rel!r} "
-                                      f"on line {lineno}")
-            if rel == "1":
-                qrels.add(qid, doc_id)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise DataFormatError(f"{path}: expected 4 fields on line {lineno}, "
+                                  f"got {len(parts)}")
+        qid, _, doc_id, rel = parts
+        if rel not in ("0", "1"):
+            raise DataFormatError(f"{path}: non-binary relevance {rel!r} "
+                                  f"on line {lineno}")
+        if rel == "1":
+            qrels.add(qid, doc_id)
     return qrels

@@ -21,8 +21,7 @@ The rest is block-sized too: the table is drawn in row chunks, a step's
 forward pass gathers token rows a chunk of texts at a time, and its
 (batch, batch, dim) distance maths runs on blocks of query rows, all with
 the same results as the one-shot forms. Runs are bit-reproducible for a
-fixed seed at any thread count: with threads > 1 the encode work is chunked
-across a pool and merged in a fixed order.
+fixed seed.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ import logging
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +184,6 @@ class HashedBowEncoder:
     def encode(self, text: str) -> np.ndarray:
         return self.encode_ids(self.bucket_ids(text))
 
-    def copy(self) -> "HashedBowEncoder":
-        clone = HashedBowEncoder.__new__(HashedBowEncoder)
-        clone.dim = self.dim
-        clone.buckets = self.buckets
-        clone.table = self.table.copy()
-        clone._bucket_cache = dict(self._bucket_cache)
-        return clone
-
     def save(self, path: str | Path) -> None:
         save_embedding_matrix(self.table, path)
 
@@ -205,50 +195,6 @@ class HashedBowEncoder:
         enc.table = table
         enc._bucket_cache = {}
         return enc
-
-
-def triplet_loss(q: np.ndarray, d_pos: np.ndarray, negatives: np.ndarray,
-                 margin: float) -> float:
-    """Hinge loss pushing the positive closer than each negative by ``margin``."""
-    if margin <= 0:
-        raise ConfigError(f"margin must be positive, got {margin}")
-    q = np.asarray(q, dtype=np.float64)
-    d_pos = np.asarray(d_pos, dtype=np.float64)
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if d_pos.shape != q.shape or negatives.shape[1] != q.shape[0]:
-        raise ValueError("dimension mismatch between query, positive, and negatives")
-    pos_dist = np.linalg.norm(q - d_pos)
-    neg_dists = np.linalg.norm(q[None, :] - negatives, axis=1)
-    return float(np.sum(np.maximum(pos_dist - neg_dists + margin, 0.0)))
-
-
-def triplet_loss_grads(q, d_pos, negatives, margin):
-    """Loss and analytic gradients w.r.t. q, d_pos, and each negative."""
-    q = np.asarray(q, dtype=np.float64)
-    d_pos = np.asarray(d_pos, dtype=np.float64)
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    u = q - d_pos
-    pos_dist = np.linalg.norm(u)
-    diffs = q[None, :] - negatives
-    neg_dists = np.linalg.norm(diffs, axis=1)
-    hinge = pos_dist - neg_dists + margin
-    active = hinge > 0.0
-    loss = float(np.sum(hinge[active]))
-    g_q = np.zeros_like(q)
-    g_pos = np.zeros_like(q)
-    g_negs = np.zeros_like(negatives)
-    n_active = int(np.count_nonzero(active))
-    if n_active:
-        # Subgradient 0 at zero distance.
-        u_hat = u / pos_dist if pos_dist > 1e-12 else np.zeros_like(u)
-        g_q += n_active * u_hat
-        g_pos -= n_active * u_hat
-        safe = np.where(neg_dists > 1e-12, neg_dists, 1.0)
-        v_hat = diffs / safe[:, None]
-        v_hat[neg_dists <= 1e-12] = 0.0
-        g_q -= v_hat[active].sum(axis=0)
-        g_negs[active] = v_hat[active]
-    return loss, g_q, g_pos, g_negs
 
 
 def _encode_batch(table: np.ndarray, ids_list: list[np.ndarray]):
@@ -288,8 +234,7 @@ def _encode_batch(table: np.ndarray, ids_list: list[np.ndarray]):
 def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
                   doc_texts, epochs: int, lr: float = 1e-3,
                   batch_size: int = 128, margin: float = 1.0, seed: int = 0,
-                  weight_decay: float = 0.01, threads: int = 1
-                  ) -> list[float]:
+                  weight_decay: float = 0.01) -> list[float]:
     """Train in place on (query text, positive doc ordinal) pairs.
 
     Negatives for each query are the other positives in its batch. Returns
@@ -309,51 +254,31 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
             doc_ids_cache[o] = encoder.bucket_ids(doc_texts[o])
     opt = AdamW(encoder.table.shape, lr=lr, weight_decay=weight_decay,
                 dtype=encoder.table.dtype)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     n = len(pairs)
     losses: list[float] = []
-    try:
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            epoch_losses = []
-            for start in range(0, n, batch_size):
-                batch = order[start:start + batch_size]
-                if len(batch) < 2:
-                    continue
-                q_ids = [query_ids[i] for i in batch]
-                p_ids = [doc_ids_cache[pairs[i][1]] for i in batch]
-                loss = _encoder_step(encoder.table, q_ids, p_ids, margin,
-                                     opt, pool)
-                epoch_losses.append(loss)
-            mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-            losses.append(mean_loss)
-            log.info("encoder epoch %d/%d: mean batch loss %.6f",
-                     epoch + 1, epochs, mean_loss)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            if len(batch) < 2:
+                continue
+            q_ids = [query_ids[i] for i in batch]
+            p_ids = [doc_ids_cache[pairs[i][1]] for i in batch]
+            epoch_losses.append(
+                _encoder_step(encoder.table, q_ids, p_ids, margin, opt))
+        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
+        losses.append(mean_loss)
+        log.info("encoder epoch %d/%d: mean batch loss %.6f",
+                 epoch + 1, epochs, mean_loss)
     return losses
 
 
-def _encoder_step(table, q_ids, p_ids, margin, opt, pool) -> float:
+def _encoder_step(table, q_ids, p_ids, margin, opt) -> float:
     """One AdamW step on a batch; the gradient goes to ``opt`` by touched row."""
     b = len(q_ids)
     dim = table.shape[1]
-    ids_list = q_ids + p_ids
-
-    if pool is not None:
-        # Chunked forward; chunk order is fixed, so results are reproducible.
-        workers = pool._max_workers
-        bounds = np.linspace(0, len(ids_list), workers + 1).astype(int)
-        parts = list(pool.map(
-            lambda lo_hi: _encode_batch(table, ids_list[lo_hi[0]:lo_hi[1]]),
-            [(bounds[i], bounds[i + 1]) for i in range(workers)]))
-        vecs = np.concatenate([p[0] for p in parts])
-        norms = np.concatenate([p[1] for p in parts])
-        all_ids = np.concatenate([p[2] for p in parts])
-        lengths = np.concatenate([p[3] for p in parts])
-    else:
-        vecs, norms, all_ids, lengths = _encode_batch(table, ids_list)
+    vecs, norms, all_ids, lengths = _encode_batch(table, q_ids + p_ids)
     Q, P = vecs[:b], vecs[b:]
 
     # The (b, b, dim) distance maths runs on blocks of ``_STEP_ROWS`` query
@@ -419,19 +344,10 @@ def _encoder_step(table, q_ids, p_ids, margin, opt, pool) -> float:
     return loss
 
 
-def embed_corpus(encoder: HashedBowEncoder, documents, threads: int = 1
-                 ) -> DocEmbeddingStore:
+def embed_corpus(encoder: HashedBowEncoder, documents) -> DocEmbeddingStore:
     """One row per document in ordinal order; empty texts become zero rows."""
-    texts = [d if isinstance(d, str) else d.text() for d in documents]
-
-    def enc(text):
-        return encoder.encode(text)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(enc, texts))
-    else:
-        rows = [enc(t) for t in texts]
+    rows = [encoder.encode(d if isinstance(d, str) else d.text())
+            for d in documents]
     store = DocEmbeddingStore(np.stack(rows) if rows else np.zeros((0, encoder.dim)))
     n_empty = int(store.empty_mask.sum())
     if n_empty:

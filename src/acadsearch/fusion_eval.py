@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus.io import read_lines
 from .corpus.model import QrelSet
 from .errors import ConfigError, DataFormatError
 
@@ -365,23 +366,22 @@ def read_run(path: str | Path) -> RunFile:
     path = Path(path)
     rankings: dict[str, list[tuple[str, float, int]]] = {}
     name = "run"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise DataFormatError(f"{path}: expected 6 columns on line "
-                                      f"{lineno}, got {len(parts)}")
-            qid, _, doc_id, rank, score, tag = parts
-            try:
-                entry = (doc_id, float(score), int(rank))
-            except ValueError:
-                raise DataFormatError(f"{path}: bad rank or score on line "
-                                      f"{lineno}") from None
-            rankings.setdefault(qid, []).append(entry)
-            name = tag
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise DataFormatError(f"{path}: expected 6 columns on line "
+                                  f"{lineno}, got {len(parts)}")
+        qid, _, doc_id, rank, score, tag = parts
+        try:
+            entry = (doc_id, float(score), int(rank))
+        except ValueError:
+            raise DataFormatError(f"{path}: bad rank or score on line "
+                                  f"{lineno}") from None
+        rankings.setdefault(qid, []).append(entry)
+        name = tag
     for qid in rankings:
         rankings[qid].sort(key=lambda e: e[2])
     run = RunFile(name, rankings)

@@ -7,8 +7,6 @@ drops below tolerance.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .corpus.model import Corpus
@@ -36,10 +34,6 @@ class CitationGraph:
         self.dst = np.asarray(dst, dtype=np.int64)
         self.out_degree = np.bincount(self.src, minlength=self.n)
         self.in_degree = np.bincount(self.dst, minlength=self.n)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.src)
 
     def has(self, ordinal: int) -> bool:
         return ordinal in self._index
@@ -92,18 +86,3 @@ def pagerank_by_ordinal(graph: CitationGraph, alpha: float = 0.85,
                         tol: float = 1e-8, max_iter: int = 100) -> dict[int, float]:
     scores = pagerank(graph, alpha=alpha, tol=tol, max_iter=max_iter)
     return {int(o): float(s) for o, s in zip(graph.ordinals, scores)}
-
-
-def pop_score(graph: CitationGraph, ordinal: int) -> int:
-    """In-degree of the document in the pre-cutoff citation graph."""
-    if not graph.has(ordinal):
-        raise KeyError(f"ordinal {ordinal} not in the citation graph")
-    return int(graph.in_degree[graph.node_index(ordinal)])
-
-
-def dump_scores(graph: CitationGraph, scores: np.ndarray, corpus: Corpus,
-                path: str | Path) -> None:
-    """`doc_id<TAB>score` lines for external inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for o, s in zip(graph.ordinals, scores):
-            fh.write(f"{corpus.doc(int(o)).doc_id}\t{s:.10g}\n")

@@ -17,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from .corpus.io import read_lines
 from .corpus.model import Author, Corpus, CorpusView
 from .errors import DataFormatError
 
@@ -245,22 +246,21 @@ def _parse(members: dict, value: str, what: str):
 
 def load_triples(path: str | Path, catalog: EntityCatalog) -> list[Triple]:
     triples: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}: expected 3 tab-separated fields "
-                                      f"on line {lineno}")
-            try:
-                hk, hid = parts[0].split(":", 1)
-                tk, tid = parts[2].split(":", 1)
-                head = catalog.ordinal(_parse(_KIND_BY_VALUE, hk, "entity kind"), hid)
-                relation = _parse(_RELATION_BY_VALUE, parts[1], "relation")
-                tail = catalog.ordinal(_parse(_KIND_BY_VALUE, tk, "entity kind"), tid)
-            except (ValueError, KeyError) as exc:
-                raise DataFormatError(f"{path}: bad triple on line {lineno}: {exc}") from None
-            triples.append(Triple(head, relation, tail))
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}: expected 3 tab-separated fields "
+                                  f"on line {lineno}")
+        try:
+            hk, hid = parts[0].split(":", 1)
+            tk, tid = parts[2].split(":", 1)
+            head = catalog.ordinal(_parse(_KIND_BY_VALUE, hk, "entity kind"), hid)
+            relation = _parse(_RELATION_BY_VALUE, parts[1], "relation")
+            tail = catalog.ordinal(_parse(_KIND_BY_VALUE, tk, "entity kind"), tid)
+        except (ValueError, KeyError) as exc:
+            raise DataFormatError(f"{path}: bad triple on line {lineno}: {exc}") from None
+        triples.append(Triple(head, relation, tail))
     return triples

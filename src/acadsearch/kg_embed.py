@@ -16,10 +16,9 @@ are re-normalized to unit length after every update; trainable entity rows
 are clipped to the unit ball after every epoch.
 
 A training step computes its row-local maths in blocks of rows that fit a
-core's L2 cache, the blocks mapped over the worker threads when there are
-several; the loss sum and the gradient scatters then run once over the
-whole batch in the order an unblocked step would use, so the embeddings
-are the same bit for bit at any block size and thread count.
+core's L2 cache; the loss sum and the gradient scatters then run once over
+the whole batch in the order an unblocked step would use, so the embeddings
+are the same bit for bit at any block size.
 
 Paper-scale settings would be 100 epochs at batch size 16384; defaults here
 are desk-scale (50 epochs, batch 4096) with the same learning rate 1e-3.
@@ -27,12 +26,12 @@ are desk-scale (50 epochs, batch 4096) with the same learning rate 1e-3.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .corpus.io import read_lines
 from .dense_encoder import DocEmbeddingStore, load_embedding_matrix, save_embedding_matrix
 from .errors import ConfigError, DataFormatError
 from .kg_builder import (RELATION_ORDER, RELATION_SIGNATURE, EntityCatalog,
@@ -45,82 +44,7 @@ _REL_INDEX = {rel: i for i, rel in enumerate(RELATION_ORDER)}
 N_RELATIONS = len(RELATION_ORDER)
 
 
-# --- scoring ----------------------------------------------------------------
-
-def transe_score(h_vec: np.ndarray, r_vec: np.ndarray, t_vec: np.ndarray) -> float:
-    """||h + r - t||, the translation residual."""
-    if not (h_vec.shape == r_vec.shape == t_vec.shape):
-        raise ValueError("h, r, t must share one dimension")
-    return float(np.linalg.norm(h_vec + r_vec - t_vec))
-
-
-def transh_project(v_vec: np.ndarray, w_vec: np.ndarray) -> np.ndarray:
-    """Project v onto the hyperplane with unit normal w."""
-    if v_vec.shape != w_vec.shape:
-        raise ValueError("vector and normal must share one dimension")
-    norm = np.linalg.norm(w_vec)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"hyperplane normal must be unit length, got ||w|| = {norm}")
-    return v_vec - np.dot(w_vec, v_vec) * w_vec
-
-
-def transh_score(h_vec: np.ndarray, t_vec: np.ndarray, w_r: np.ndarray,
-                 d_r: np.ndarray) -> float:
-    return float(np.linalg.norm(
-        transh_project(h_vec, w_r) + d_r - transh_project(t_vec, w_r)))
-
-
-# --- pairwise margin loss with analytic gradients ---------------------------
-# These single-pair forms exist for gradient verification; the batch trainer
-# below vectorizes the same formulas.
-
-def transe_pair_grads(h, r, t, hn, tn, margin):
-    """Loss and gradients of max(margin + ||h+r-t|| - ||hn+r-tn||, 0).
-
-    The relation vector is shared between the positive and the corrupted
-    triple, as produced by corruption sampling.
-    """
-    u_pos = h + r - t
-    u_neg = hn + r - tn
-    d_pos = np.linalg.norm(u_pos)
-    d_neg = np.linalg.norm(u_neg)
-    loss = margin + d_pos - d_neg
-    zeros = {k: np.zeros_like(h) for k in ("h", "r", "t", "hn", "tn")}
-    if loss <= 0.0:
-        return 0.0, zeros
-    g_pos = u_pos / d_pos if d_pos > 1e-12 else np.zeros_like(u_pos)
-    g_neg = u_neg / d_neg if d_neg > 1e-12 else np.zeros_like(u_neg)
-    return float(loss), {"h": g_pos, "r": g_pos - g_neg, "t": -g_pos,
-                         "hn": -g_neg, "tn": g_neg}
-
-
-def _transh_residual_grads(h, t, w, dr):
-    """Gradients of ||proj(h,w) + dr - proj(t,w)|| w.r.t. h, t, w, dr."""
-    a = h - t
-    u = a + dr - np.dot(w, a) * w
-    d = np.linalg.norm(u)
-    if d <= 1e-12:
-        z = np.zeros_like(h)
-        return 0.0, z, z, z, z
-    g = u / d
-    gw = np.dot(g, w)
-    grad_h = g - gw * w
-    grad_t = -grad_h
-    grad_w = -(gw * a + np.dot(w, a) * g)
-    return d, grad_h, grad_t, grad_w, g
-
-
-def transh_pair_grads(h, t, hn, tn, w, dr, margin):
-    """Margin ranking loss for the hyperplane model, single positive/negative."""
-    d_pos, gh, gt, gw_pos, gdr_pos = _transh_residual_grads(h, t, w, dr)
-    d_neg, ghn, gtn, gw_neg, gdr_neg = _transh_residual_grads(hn, tn, w, dr)
-    loss = margin + d_pos - d_neg
-    zeros = {k: np.zeros_like(h) for k in ("h", "t", "hn", "tn", "w", "dr")}
-    if loss <= 0.0:
-        return 0.0, zeros
-    return float(loss), {"h": gh, "t": gt, "hn": -ghn, "tn": -gtn,
-                         "w": gw_pos - gw_neg, "dr": gdr_pos - gdr_neg}
-
+# --- hyperplane constraint ---------------------------------------------------
 
 def transh_constraint_grads(w, dr, weight, eps):
     """Soft orthogonality penalty weight * max((w.dr)^2/||dr||^2 - eps^2, 0)."""
@@ -137,30 +61,6 @@ def transh_constraint_grads(w, dr, weight, eps):
 
 
 # --- negative sampling -------------------------------------------------------
-
-def sample_negative(triple: Triple, catalog: EntityCatalog,
-                    triples: set[Triple], rng: np.random.Generator,
-                    max_attempts: int = 100) -> Triple | None:
-    """Corrupt head or tail (p = 1/2 each) with a type-correct entity.
-
-    Resamples until the corrupted triple is absent from the known set
-    (closed-world assumption); returns None when no valid corruption is
-    found within ``max_attempts``.
-    """
-    head_kind, tail_kind = RELATION_SIGNATURE[triple.relation]
-    for _ in range(max_attempts):
-        corrupt_head = rng.random() < 0.5
-        kind = head_kind if corrupt_head else tail_kind
-        lo, hi = catalog.kind_range(kind)
-        if hi <= lo:
-            return None
-        cand = int(rng.integers(lo, hi))
-        corrupted = (Triple(cand, triple.relation, triple.tail) if corrupt_head
-                     else Triple(triple.head, triple.relation, cand))
-        if corrupted not in triples:
-            return corrupted
-    return None
-
 
 def encode_triples(heads, rels, tails, total_entities: int) -> np.ndarray:
     """Pack (h, r, t) into sortable int64 codes for membership tests."""
@@ -179,8 +79,11 @@ def _corruption_ranges(catalog: EntityCatalog):
 
 def _corrupt_batch(rng, heads, rels, tails, ranges, total: int,
                    known_codes: np.ndarray, rounds: int = 100):
-    """Vectorized corruption with the same semantics as sample_negative.
+    """Corrupt head or tail (p = 1/2 each) with a type-correct entity.
 
+    Each row resamples until its corrupted triple is absent from
+    ``known_codes`` (closed-world assumption); rows still unresolved after
+    ``rounds`` draws, or whose entity range is empty, come back invalid.
     ``ranges`` comes from :func:`_corruption_ranges`, ``total`` is the
     catalog size.
     """
@@ -227,32 +130,6 @@ class KGEmbeddings:
         self.dim = entities.shape[1]
         self.epoch_losses: list[float] = []
         self.normal_deviations: list[float] = []
-
-    def is_frozen(self, ordinal: int) -> bool:
-        return self.frozen_range[0] <= ordinal < self.frozen_range[1]
-
-    def relation_translation(self, rel: RelationType) -> np.ndarray:
-        return self.rel_translations[_REL_INDEX[rel]]
-
-    def relation_normal(self, rel: RelationType) -> np.ndarray:
-        if self.rel_normals is None:
-            raise ValueError("translation model has no hyperplane normals")
-        return self.rel_normals[_REL_INDEX[rel]]
-
-    def score(self, triple: Triple) -> float:
-        h = self.entities[triple.head]
-        t = self.entities[triple.tail]
-        if self.model == "transe":
-            return transe_score(h, self.relation_translation(triple.relation), t)
-        return transh_score(h, t, self.relation_normal(triple.relation),
-                            self.relation_translation(triple.relation))
-
-
-def entity_vector(embeddings: KGEmbeddings, kind: EntityKind, external_id: str
-                  ) -> tuple[np.ndarray, bool]:
-    """Entity row plus a flag marking frozen (document) entities."""
-    ordinal = embeddings.catalog.ordinal(kind, external_id)
-    return embeddings.entities[ordinal].copy(), embeddings.is_frozen(ordinal)
 
 
 # --- training ----------------------------------------------------------------
@@ -306,8 +183,7 @@ def init_embeddings(catalog: EntityCatalog, store: DocEmbeddingStore,
 
 
 def train_kg(triples: list[Triple], store: DocEmbeddingStore,
-             catalog: EntityCatalog, config: KGTrainConfig,
-             threads: int = 1) -> KGEmbeddings:
+             catalog: EntityCatalog, config: KGTrainConfig) -> KGEmbeddings:
     """Train embeddings; document rows stay exactly as loaded from the store."""
     config.validate()
     emb = init_embeddings(catalog, store, config)
@@ -333,44 +209,39 @@ def train_kg(triples: list[Triple], store: DocEmbeddingStore,
                     weight_decay=config.weight_decay)
     opt_w = (AdamW(emb.rel_normals.shape, lr=config.lr, weight_decay=0.0)
              if config.model == "transh" else None)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     n = len(triples)
-    try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(n)
-            batch_losses = []
-            for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                if config.negatives > 1:
-                    idx = np.repeat(idx, config.negatives)
-                bh, br, bt = heads[idx], rels[idx], tails[idx]
-                nh, nt, valid = _corrupt_batch(rng, bh, br, bt, ranges, total,
-                                               known)
-                if not valid.any():
-                    continue
-                loss = _kg_step(emb, config, bh, br, bt, nh, nt, valid,
-                                opt_pre, opt_post, opt_rel, opt_w, pool)
-                batch_losses.append(loss)
-            # Trainable rows obey the unit-norm cap; frozen rows are untouched.
-            for sl in (slice(0, doc_lo), slice(doc_hi, total)):
-                block = ent[sl]
-                if block.shape[0]:
-                    norms = np.linalg.norm(block, axis=1)
-                    over = norms > 1.0
-                    if over.any():
-                        block[over] /= norms[over, None]
-            mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
-            emb.epoch_losses.append(mean_loss)
-            if emb.rel_normals is not None:
-                dev = float(np.max(np.abs(
-                    np.linalg.norm(emb.rel_normals, axis=1) - 1.0)))
-                emb.normal_deviations.append(dev)
-            log.info("kg %s epoch %d/%d: mean batch loss %.6f",
-                     config.model, epoch + 1, config.epochs, mean_loss)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            if config.negatives > 1:
+                idx = np.repeat(idx, config.negatives)
+            bh, br, bt = heads[idx], rels[idx], tails[idx]
+            nh, nt, valid = _corrupt_batch(rng, bh, br, bt, ranges, total,
+                                           known)
+            if not valid.any():
+                continue
+            loss = _kg_step(emb, config, bh, br, bt, nh, nt, valid,
+                            opt_pre, opt_post, opt_rel, opt_w)
+            batch_losses.append(loss)
+        # Trainable rows obey the unit-norm cap; frozen rows are untouched.
+        for sl in (slice(0, doc_lo), slice(doc_hi, total)):
+            block = ent[sl]
+            if block.shape[0]:
+                norms = np.linalg.norm(block, axis=1)
+                over = norms > 1.0
+                if over.any():
+                    block[over] /= norms[over, None]
+        mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
+        emb.epoch_losses.append(mean_loss)
+        if emb.rel_normals is not None:
+            dev = float(np.max(np.abs(
+                np.linalg.norm(emb.rel_normals, axis=1) - 1.0)))
+            emb.normal_deviations.append(dev)
+        log.info("kg %s epoch %d/%d: mean batch loss %.6f",
+                 config.model, epoch + 1, config.epochs, mean_loss)
     return emb
 
 
@@ -380,14 +251,13 @@ _KG_BLOCK = 512
 
 
 def _kg_step(emb, config, bh, br, bt, nh, nt, valid,
-             opt_pre, opt_post, opt_rel, opt_w, pool) -> float:
+             opt_pre, opt_post, opt_rel, opt_w) -> float:
     """One AdamW step on positive triples and their corruptions.
 
     The row-local maths (gathers, residuals, hinge, per-row gradients) runs
-    on blocks of ``_KG_BLOCK`` rows, mapped over ``pool`` when one is given;
-    each block writes its own slices of full-length arrays. The loss sum
-    and the gradient scatters run over those full arrays, so the result is
-    the same at any block size and thread count.
+    on blocks of ``_KG_BLOCK`` rows, each writing its own slices of
+    full-length arrays. The loss sum and the gradient scatters run over
+    those full arrays, so the result is the same at any block size.
     """
     ent = emb.entities
     rel_t = emb.rel_translations
@@ -444,12 +314,8 @@ def _kg_step(emb, config, bh, br, bt, nh, nt, valid,
         np.negative(g_neg, out=ent_rows[2 * n + lo:2 * n + hi])
         ent_rows[3 * n + lo:3 * n + hi] = g_neg
 
-    starts = range(0, n, _KG_BLOCK)
-    if pool is None:
-        for lo in starts:
-            block(lo)
-    else:
-        list(pool.map(block, starts))
+    for lo in range(0, n, _KG_BLOCK):
+        block(lo)
 
     loss = float(hinge[active].sum() * scale)
     if not active.any():
@@ -497,44 +363,6 @@ def _kg_step(emb, config, bh, br, bt, nh, nt, valid,
     return loss
 
 
-# --- link prediction sanity --------------------------------------------------
-
-def link_prediction_mean_rank(emb: KGEmbeddings, eval_triples: list[Triple],
-                              known_codes: np.ndarray) -> float:
-    """Filtered mean rank of true tails among type-correct candidates.
-
-    ``known_codes`` must contain every known-true triple (training plus
-    held-out) encoded by :func:`encode_triples`; candidates matching a known
-    triple other than the target are excluded before ranking.
-    """
-    catalog = emb.catalog
-    total = catalog.total
-    ranks = []
-    for triple in eval_triples:
-        ri = _REL_INDEX[triple.relation]
-        lo, hi = catalog.kind_range(RELATION_SIGNATURE[triple.relation][1])
-        cand = np.arange(lo, hi, dtype=np.int64)
-        h = emb.entities[triple.head]
-        block = emb.entities[lo:hi]
-        if emb.model == "transe":
-            d = np.linalg.norm(h + emb.rel_translations[ri] - block, axis=1)
-        else:
-            w = emb.rel_normals[ri]
-            hp = h - np.dot(w, h) * w
-            tp = block - (block @ w)[:, None] * w
-            d = np.linalg.norm(hp + emb.rel_translations[ri] - tp, axis=1)
-        codes = (triple.head * N_RELATIONS + ri) * total + cand
-        pos = np.searchsorted(known_codes, codes)
-        pos_clip = np.minimum(pos, len(known_codes) - 1)
-        is_known = (pos < len(known_codes)) & (known_codes[pos_clip] == codes)
-        allowed = ~is_known
-        allowed[triple.tail - lo] = True
-        target_d = d[triple.tail - lo]
-        rank = 1 + int(np.count_nonzero(d[allowed] < target_d))
-        ranks.append(rank)
-    return float(np.mean(ranks))
-
-
 # --- persistence -------------------------------------------------------------
 
 def save_kg_embeddings(emb: KGEmbeddings, bin_path: str | Path,
@@ -560,27 +388,32 @@ def save_kg_embeddings(emb: KGEmbeddings, bin_path: str | Path,
 
 def load_kg_embeddings(bin_path: str | Path, manifest_path: str | Path,
                        catalog: EntityCatalog) -> KGEmbeddings:
+    """Read what :func:`save_kg_embeddings` wrote.
+
+    Every line the writer emits must be there, each relation vector (and,
+    for the hyperplane model, each normal) exactly once with ``dim`` values,
+    and the file must end in a newline, so a manifest cut short anywhere
+    raises DataFormatError.
+    """
     manifest_path = Path(manifest_path)
-    lines = manifest_path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("#kg-embeddings"):
+    lines = read_lines(manifest_path)
+    _, line = next(lines, (1, ""))
+    if not line.startswith("#kg-embeddings"):
         raise DataFormatError(f"{manifest_path}: not a KG embedding manifest")
-    model = None
-    dim = None
-    frozen = (0, 0)
-    rel_t = np.zeros((N_RELATIONS, 1))
-    rel_w = None
+    model = dim = frozen = None
+    vectors: dict[str, dict[RelationType, list[float]]] = {"relation": {},
+                                                            "normal": {}}
     entity_rows = 0
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
-        parts = line.split("\t")
+        parts = line.rstrip("\n").split("\t")
         tag = parts[0]
         try:
             if tag == "model":
                 model = parts[1]
             elif tag == "dim":
                 dim = int(parts[1])
-                rel_t = np.zeros((N_RELATIONS, dim))
             elif tag == "frozen":
                 frozen = (int(parts[1]), int(parts[2]))
             elif tag == "entity":
@@ -591,38 +424,36 @@ def load_kg_embeddings(bin_path: str | Path, manifest_path: str | Path,
                         f"{catalog.ordinal(kind, ext)} in the catalog, manifest "
                         f"says {ordinal}")
                 entity_rows += 1
-            elif tag == "relation":
-                rel_t[_REL_INDEX[RelationType(parts[1])]] = \
-                    [float(x) for x in parts[2].split(",")]
-            elif tag == "normal":
-                if rel_w is None:
-                    rel_w = np.zeros((N_RELATIONS, dim))
-                rel_w[_REL_INDEX[RelationType(parts[1])]] = \
-                    [float(x) for x in parts[2].split(",")]
+            elif tag in vectors:
+                rel = RelationType(parts[1])
+                vec = [float(x) for x in parts[2].split(",")]
+                if dim is None or len(vec) != dim or rel in vectors[tag]:
+                    raise ValueError(f"{tag} {rel.value} comes before dim, "
+                                     f"repeats, or has not {dim} values")
+                vectors[tag][rel] = vec
         except (IndexError, ValueError, KeyError) as exc:
             raise DataFormatError(
                 f"{manifest_path}: bad manifest line {lineno}: {exc}") from None
-    if model is None or dim is None:
-        raise DataFormatError(f"{manifest_path}: manifest missing model or dim")
+    if not line.endswith("\n"):
+        raise DataFormatError(f"{manifest_path}: truncated manifest "
+                              f"(no newline at the end)")
+    if model is None or dim is None or frozen is None:
+        raise DataFormatError(f"{manifest_path}: manifest missing model, dim "
+                              f"or frozen range")
     if entity_rows != catalog.total:
         raise DataFormatError(f"{manifest_path}: manifest lists {entity_rows} "
                               f"entities, catalog has {catalog.total}")
+    if len(vectors["relation"]) != N_RELATIONS:
+        raise DataFormatError(f"{manifest_path}: manifest lists "
+                              f"{len(vectors['relation'])} of {N_RELATIONS} "
+                              f"relation vectors")
+    if (len(vectors["normal"]) not in (0, N_RELATIONS)
+            or (model == "transh" and not vectors["normal"])):
+        raise DataFormatError(f"{manifest_path}: hyperplane model without "
+                              f"a normal for every relation")
     entities = load_embedding_matrix(bin_path, expect_count=catalog.total,
                                      expect_dim=dim)
-    if model == "transh" and rel_w is None:
-        raise DataFormatError(f"{manifest_path}: hyperplane model without normals")
+    rel_t = np.array([vectors["relation"][rel] for rel in RELATION_ORDER])
+    rel_w = (np.array([vectors["normal"][rel] for rel in RELATION_ORDER])
+             if vectors["normal"] else None)
     return KGEmbeddings(model, entities, rel_t, rel_w, catalog, frozen)
-
-
-def heldout_split(triples: list[Triple], relation: RelationType, n_heldout: int,
-                  seed: int) -> tuple[list[Triple], list[Triple]]:
-    """Split off ``n_heldout`` triples of one relation for link prediction."""
-    of_rel = [i for i, t in enumerate(triples) if t.relation == relation]
-    if len(of_rel) <= n_heldout:
-        raise ConfigError(f"not enough {relation.value} triples to hold out "
-                          f"{n_heldout}")
-    rng = np.random.default_rng(seed)
-    chosen = set(rng.choice(of_rel, size=n_heldout, replace=False).tolist())
-    train = [t for i, t in enumerate(triples) if i not in chosen]
-    heldout = [triples[i] for i in sorted(chosen)]
-    return train, heldout

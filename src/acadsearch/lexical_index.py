@@ -54,8 +54,8 @@ class InvertedIndex:
     after construction. ``score_all`` caches each queried term's
     per-posting BM25 contributions for the most recent (k1, b), at most one
     f64 per posting. A fill only adds a finished array computed from the
-    immutable data, and a new (k1, b) swaps in a fresh cache, so the index
-    stays safe to share across threads.
+    immutable data, and a new (k1, b) swaps in a fresh cache, so concurrent
+    readers of a shared index never see a half-filled entry.
     """
 
     def __init__(self, doc_ids: list[str], doc_lengths: np.ndarray,
@@ -72,9 +72,6 @@ class InvertedIndex:
     def df(self, term: str) -> int:
         entry = self.postings.get(term)
         return 0 if entry is None else len(entry[0])
-
-    def terms(self) -> list[str]:
-        return sorted(self.postings)
 
     def idf(self, term: str) -> float:
         df = self.df(term)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as corpus_mod
+from .corpus.io import read_lines
 from .corpus.model import SplitSpec
 from .dense_encoder import (HashedBowEncoder, embed_corpus,
                             load_precomputed_embeddings, train_encoder)
@@ -170,12 +171,43 @@ def stage_config_hash(cfg: dict, stage: str) -> str:
     return _hash_bytes(json.dumps(sections, sort_keys=True).encode())
 
 
+def _check_candidates(record, known_doc_ids: set[str]) -> dict:
+    """``record`` with its bm25 and dense lists as float arrays.
+
+    Raises ValueError or TypeError unless the record holds every field the
+    fusion stages read: distinct known doc ids and one finite score per id.
+    """
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    missing = [f for f in ("query_id", "user_id", "text", "doc_ids", "bm25",
+                           "dense") if f not in record]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    if not isinstance(record["query_id"], str) or not isinstance(record["text"], str):
+        raise ValueError("query_id and text must be strings")
+    if record["user_id"] is not None and not isinstance(record["user_id"], str):
+        raise ValueError("user_id must be a string or null")
+    doc_ids = record["doc_ids"]
+    if (not isinstance(doc_ids, list) or not doc_ids
+            or len(set(doc_ids)) != len(doc_ids)
+            or not known_doc_ids.issuperset(doc_ids)):
+        raise ValueError("doc_ids must be distinct corpus doc ids, at least one")
+    for channel in ("bm25", "dense"):
+        scores = np.asarray(record[channel], dtype=np.float64)
+        if scores.shape != (len(doc_ids),) or not np.isfinite(scores).all():
+            raise ValueError(f"{channel} must hold one finite number per doc_id")
+        record[channel] = scores
+    return record
+
+
 class Pipeline:
     """Executes stages against one workdir."""
 
     def __init__(self, cfg: dict, threads: int = 1, force: bool = False):
+        # only perfbench/workloads.py passes it; the next benchmark change deletes it
+        if threads != 1:
+            raise ConfigError(f"threads must be 1, got {threads!r}")
         self.cfg = cfg
-        self.threads = max(1, int(threads))
         self.force = force
         self.workdir = Path(cfg["paths"]["workdir"])
 
@@ -406,8 +438,7 @@ class Pipeline:
         losses = train_encoder(
             encoder, pairs, texts, epochs=ecfg["epochs"], lr=ecfg["lr"],
             batch_size=ecfg["batch_size"], margin=ecfg["margin"],
-            seed=self.cfg["seed"], weight_decay=ecfg["weight_decay"],
-            threads=self.threads)
+            seed=self.cfg["seed"], weight_decay=ecfg["weight_decay"])
         encoder.save(out / "encoder.bin")
         (out / "train_log.txt").write_text(
             "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
@@ -426,7 +457,7 @@ class Pipeline:
         self._require("dense", "encoder.bin", hint="train-dense")
         encoder = HashedBowEncoder.load(self.workdir / "dense" / "encoder.bin")
         out = self._dir("embed")
-        store = embed_corpus(encoder, corpus.docs, threads=self.threads)
+        store = embed_corpus(encoder, corpus.docs)
         store.save(out / "doc_embeddings.bin")
         self._write_manifest(
             out, "embed", {"encoder": self.workdir / "dense" / "encoder.bin"},
@@ -483,7 +514,7 @@ class Pipeline:
         store = load_precomputed_embeddings(
             self.workdir / "embed" / "doc_embeddings.bin",
             expect_count=len(corpus))
-        emb = train_kg(triples, store, catalog, config, threads=self.threads)
+        emb = train_kg(triples, store, catalog, config)
         save_kg_embeddings(emb, out / "entities.bin", out / "entities.manifest.txt")
         (out / "train_log.txt").write_text(
             "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
@@ -543,15 +574,20 @@ class Pipeline:
             [out / "val_candidates.jsonl", out / "test_candidates.jsonl"], started)
         log.info("score: candidate lists written for val and test")
 
-    def _load_candidates(self, split: str) -> list[dict]:
+    def _load_candidates(self, split: str, corpus) -> list[dict]:
         path = self.workdir / "score" / f"{split}_candidates.jsonl"
         if not path.exists():
             raise MissingArtifactError("no candidate lists: run `score` first")
+        known = {d.doc_id for d in corpus.docs}
         records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(json.loads(line))
+        for lineno, line in read_lines(path):
+            if not line.strip():
+                continue
+            try:
+                records.append(_check_candidates(json.loads(line), known))
+            except (TypeError, ValueError) as exc:   # ValueError: also bad JSON
+                raise DataFormatError(f"{path}: bad candidate record on line "
+                                      f"{lineno}: {exc}") from None
         return records
 
     # -- user channels ------------------------------------------------------------------
@@ -660,7 +696,7 @@ class Pipeline:
         self._require("score", "val_candidates.jsonl", hint="score")
         corpus = self._load_corpus()
         out = self._dir("tune")
-        records = self._load_candidates("val")
+        records = self._load_candidates("val", corpus)
         qrels = corpus_mod.load_qrels(self.workdir / "splits" / "val_qrels.txt")
         step = self.cfg["fusion"]["grid_step"]
         lambdas: dict[str, dict] = {}
@@ -687,7 +723,7 @@ class Pipeline:
         self._require("tune", "lambdas.json", hint="tune")
         corpus = self._load_corpus()
         out = self._dir("eval")
-        records = self._load_candidates("test")
+        records = self._load_candidates("test", corpus)
         qrels = corpus_mod.load_qrels(self.workdir / "splits" / "test_qrels.txt")
         lambdas_path = self.workdir / "tune" / "lambdas.json"
         lambdas = _read_json_object(lambdas_path, "fusion weights file")
@@ -773,8 +809,8 @@ class Pipeline:
         corpus = self._load_corpus()
         self._require("embed", "doc_embeddings.bin", hint="embed")
         out = self._dir("ablate")
-        val_records = self._load_candidates("val")
-        test_records = self._load_candidates("test")
+        val_records = self._load_candidates("val", corpus)
+        test_records = self._load_candidates("test", corpus)
         val_qrels = corpus_mod.load_qrels(self.workdir / "splits" / "val_qrels.txt")
         test_qrels = corpus_mod.load_qrels(self.workdir / "splits" / "test_qrels.txt")
         store = load_precomputed_embeddings(
@@ -807,8 +843,7 @@ class Pipeline:
             else:
                 triples = build_kg(train_view, authors, catalog, kg_config)
                 save_triples(triples, catalog, variant_dir / "triples.tsv")
-                emb = train_kg(triples, store, catalog, config,
-                               threads=self.threads)
+                emb = train_kg(triples, store, catalog, config)
                 save_kg_embeddings(emb, variant_dir / "entities.bin",
                                    variant_dir / "entities.manifest.txt")
                 n_triples = len(triples)

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 
+from acadsearch.errors import ConfigError
+from acadsearch.kg_builder import RELATION_ORDER, RELATION_SIGNATURE, Triple
+
 
 def naive_map_at_k(ranking, relevant, k=100):
     hits = 0
@@ -118,6 +121,211 @@ def central_difference(fn, args, arg_index, h=1e-5):
 def relative_error(numeric, analytic):
     scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
     return np.abs(numeric - analytic).max() / scale
+
+
+# --- single-pair forms of the training losses ---------------------------------
+# The trainers vectorize these formulas over whole batches; the analytic
+# gradients here are checked against finite differences.
+
+def triplet_loss(q, d_pos, negatives, margin):
+    """Hinge loss pushing the positive closer than each negative by ``margin``."""
+    if margin <= 0:
+        raise ConfigError(f"margin must be positive, got {margin}")
+    q = np.asarray(q, dtype=np.float64)
+    d_pos = np.asarray(d_pos, dtype=np.float64)
+    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    if d_pos.shape != q.shape or negatives.shape[1] != q.shape[0]:
+        raise ValueError("dimension mismatch between query, positive, and negatives")
+    pos_dist = np.linalg.norm(q - d_pos)
+    neg_dists = np.linalg.norm(q[None, :] - negatives, axis=1)
+    return float(np.sum(np.maximum(pos_dist - neg_dists + margin, 0.0)))
+
+
+def triplet_loss_grads(q, d_pos, negatives, margin):
+    """Loss and analytic gradients w.r.t. q, d_pos, and each negative."""
+    q = np.asarray(q, dtype=np.float64)
+    d_pos = np.asarray(d_pos, dtype=np.float64)
+    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    u = q - d_pos
+    pos_dist = np.linalg.norm(u)
+    diffs = q[None, :] - negatives
+    neg_dists = np.linalg.norm(diffs, axis=1)
+    hinge = pos_dist - neg_dists + margin
+    active = hinge > 0.0
+    loss = float(np.sum(hinge[active]))
+    g_q = np.zeros_like(q)
+    g_pos = np.zeros_like(q)
+    g_negs = np.zeros_like(negatives)
+    n_active = int(np.count_nonzero(active))
+    if n_active:
+        # Subgradient 0 at zero distance.
+        u_hat = u / pos_dist if pos_dist > 1e-12 else np.zeros_like(u)
+        g_q += n_active * u_hat
+        g_pos -= n_active * u_hat
+        safe = np.where(neg_dists > 1e-12, neg_dists, 1.0)
+        v_hat = diffs / safe[:, None]
+        v_hat[neg_dists <= 1e-12] = 0.0
+        g_q -= v_hat[active].sum(axis=0)
+        g_negs[active] = v_hat[active]
+    return loss, g_q, g_pos, g_negs
+
+
+def transe_score(h_vec, r_vec, t_vec):
+    """||h + r - t||, the translation residual."""
+    if not (h_vec.shape == r_vec.shape == t_vec.shape):
+        raise ValueError("h, r, t must share one dimension")
+    return float(np.linalg.norm(h_vec + r_vec - t_vec))
+
+
+def transh_project(v_vec, w_vec):
+    """Project v onto the hyperplane with unit normal w."""
+    if v_vec.shape != w_vec.shape:
+        raise ValueError("vector and normal must share one dimension")
+    norm = np.linalg.norm(w_vec)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"hyperplane normal must be unit length, got ||w|| = {norm}")
+    return v_vec - np.dot(w_vec, v_vec) * w_vec
+
+
+def transh_score(h_vec, t_vec, w_r, d_r):
+    return float(np.linalg.norm(
+        transh_project(h_vec, w_r) + d_r - transh_project(t_vec, w_r)))
+
+
+def transe_pair_grads(h, r, t, hn, tn, margin):
+    """Loss and gradients of max(margin + ||h+r-t|| - ||hn+r-tn||, 0).
+
+    The relation vector is shared between the positive and the corrupted
+    triple, as produced by corruption sampling.
+    """
+    u_pos = h + r - t
+    u_neg = hn + r - tn
+    d_pos = np.linalg.norm(u_pos)
+    d_neg = np.linalg.norm(u_neg)
+    loss = margin + d_pos - d_neg
+    zeros = {k: np.zeros_like(h) for k in ("h", "r", "t", "hn", "tn")}
+    if loss <= 0.0:
+        return 0.0, zeros
+    g_pos = u_pos / d_pos if d_pos > 1e-12 else np.zeros_like(u_pos)
+    g_neg = u_neg / d_neg if d_neg > 1e-12 else np.zeros_like(u_neg)
+    return float(loss), {"h": g_pos, "r": g_pos - g_neg, "t": -g_pos,
+                         "hn": -g_neg, "tn": g_neg}
+
+
+def _transh_residual_grads(h, t, w, dr):
+    """Gradients of ||proj(h,w) + dr - proj(t,w)|| w.r.t. h, t, w, dr."""
+    a = h - t
+    u = a + dr - np.dot(w, a) * w
+    d = np.linalg.norm(u)
+    if d <= 1e-12:
+        z = np.zeros_like(h)
+        return 0.0, z, z, z, z
+    g = u / d
+    gw = np.dot(g, w)
+    grad_h = g - gw * w
+    grad_t = -grad_h
+    grad_w = -(gw * a + np.dot(w, a) * g)
+    return d, grad_h, grad_t, grad_w, g
+
+
+def transh_pair_grads(h, t, hn, tn, w, dr, margin):
+    """Margin ranking loss for the hyperplane model, single positive/negative."""
+    d_pos, gh, gt, gw_pos, gdr_pos = _transh_residual_grads(h, t, w, dr)
+    d_neg, ghn, gtn, gw_neg, gdr_neg = _transh_residual_grads(hn, tn, w, dr)
+    loss = margin + d_pos - d_neg
+    zeros = {k: np.zeros_like(h) for k in ("h", "t", "hn", "tn", "w", "dr")}
+    if loss <= 0.0:
+        return 0.0, zeros
+    return float(loss), {"h": gh, "t": gt, "hn": -ghn, "tn": -gtn,
+                         "w": gw_pos - gw_neg, "dr": gdr_pos - gdr_neg}
+
+
+# --- single-triple forms of the KG embedding queries ------------------------------
+
+def triple_score(emb, triple):
+    """f(h, r, t) of one triple under the embeddings' model."""
+    ri = RELATION_ORDER.index(triple.relation)
+    h, t = emb.entities[triple.head], emb.entities[triple.tail]
+    if emb.model == "transe":
+        return transe_score(h, emb.rel_translations[ri], t)
+    return transh_score(h, t, emb.rel_normals[ri], emb.rel_translations[ri])
+
+
+def entity_vector(emb, kind, external_id):
+    """Entity row plus a flag marking frozen (document) entities."""
+    ordinal = emb.catalog.ordinal(kind, external_id)
+    lo, hi = emb.frozen_range
+    return emb.entities[ordinal].copy(), lo <= ordinal < hi
+
+
+def sample_negative(triple, catalog, triples, rng, max_attempts=100):
+    """Corrupt head or tail (p = 1/2 each) with a type-correct entity.
+
+    Resamples until the corrupted triple is absent from the known set
+    (closed-world assumption); returns None when no valid corruption is
+    found within ``max_attempts``.
+    """
+    head_kind, tail_kind = RELATION_SIGNATURE[triple.relation]
+    for _ in range(max_attempts):
+        corrupt_head = rng.random() < 0.5
+        kind = head_kind if corrupt_head else tail_kind
+        lo, hi = catalog.kind_range(kind)
+        if hi <= lo:
+            return None
+        cand = int(rng.integers(lo, hi))
+        corrupted = (Triple(cand, triple.relation, triple.tail) if corrupt_head
+                     else Triple(triple.head, triple.relation, cand))
+        if corrupted not in triples:
+            return corrupted
+    return None
+
+
+def heldout_split(triples, relation, n_heldout, seed):
+    """Split off ``n_heldout`` triples of one relation for link prediction."""
+    of_rel = [i for i, t in enumerate(triples) if t.relation == relation]
+    if len(of_rel) <= n_heldout:
+        raise ConfigError(f"not enough {relation.value} triples to hold out "
+                          f"{n_heldout}")
+    rng = np.random.default_rng(seed)
+    chosen = set(rng.choice(of_rel, size=n_heldout, replace=False).tolist())
+    train = [t for i, t in enumerate(triples) if i not in chosen]
+    heldout = [triples[i] for i in sorted(chosen)]
+    return train, heldout
+
+
+def link_prediction_mean_rank(emb, eval_triples, known_codes):
+    """Filtered mean rank of true tails among type-correct candidates.
+
+    ``known_codes`` must contain every known-true triple (training plus
+    held-out) encoded by ``encode_triples``; candidates matching a known
+    triple other than the target are excluded before ranking.
+    """
+    catalog = emb.catalog
+    total = catalog.total
+    ranks = []
+    for triple in eval_triples:
+        ri = RELATION_ORDER.index(triple.relation)
+        lo, hi = catalog.kind_range(RELATION_SIGNATURE[triple.relation][1])
+        cand = np.arange(lo, hi, dtype=np.int64)
+        h = emb.entities[triple.head]
+        block = emb.entities[lo:hi]
+        if emb.model == "transe":
+            d = np.linalg.norm(h + emb.rel_translations[ri] - block, axis=1)
+        else:
+            w = emb.rel_normals[ri]
+            hp = h - np.dot(w, h) * w
+            tp = block - (block @ w)[:, None] * w
+            d = np.linalg.norm(hp + emb.rel_translations[ri] - tp, axis=1)
+        codes = (triple.head * len(RELATION_ORDER) + ri) * total + cand
+        pos = np.searchsorted(known_codes, codes)
+        pos_clip = np.minimum(pos, len(known_codes) - 1)
+        is_known = (pos < len(known_codes)) & (known_codes[pos_clip] == codes)
+        allowed = ~is_known
+        allowed[triple.tail - lo] = True
+        target_d = d[triple.tail - lo]
+        rank = 1 + int(np.count_nonzero(d[allowed] < target_d))
+        ranks.append(rank)
+    return float(np.mean(ranks))
 
 
 # --- one-item-at-a-time forms of the array-shaped query path ---------------------

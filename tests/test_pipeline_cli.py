@@ -34,7 +34,7 @@ def tiny_cfg(workdir, **extra):
 def tiny_run(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("tiny")
     cfg = tiny_cfg(workdir)
-    pipeline = Pipeline(cfg, threads=1)
+    pipeline = Pipeline(cfg)
     pipeline.end_to_end()
     return cfg, workdir
 
@@ -220,6 +220,38 @@ def test_cli_corrupt_lambdas_exit_3(tiny_run, tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+def _edit_record(fix):
+    def edit(text):
+        lines = text.splitlines()
+        lines[2] = fix(json.loads(lines[2]))
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda text: text[:len(text) // 2], id="truncated"),
+    pytest.param(_edit_record(lambda r: json.dumps(_drop_key("dense")(r))),
+                 id="no-dense"),
+    pytest.param(_edit_record(lambda r: "[]"), id="not-an-object"),
+    pytest.param(_edit_record(lambda r: json.dumps({**r, "bm25": r["bm25"][:-1]})),
+                 id="short-bm25"),
+    pytest.param(_edit_record(lambda r: json.dumps(
+        {**r, "doc_ids": ["ghost"] + r["doc_ids"][1:]})), id="unknown-doc"),
+    pytest.param(_edit_record(lambda r: json.dumps(
+        {**r, "dense": [float("nan")] + r["dense"][1:]})), id="nan-score"),
+])
+def test_cli_corrupt_candidates_exit_3(tiny_run, tmp_path, capsys, edit):
+    """``tune`` on a cut-short or malformed candidate file exits 3 naming it."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    path = workdir / "score" / "val_candidates.jsonl"
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "tune"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: bad candidate record on line " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ['{"test_queries": 3}', '{"cutoff_year": "soon"}',
                                   '{"cutoff_year": null}', '{"cutoff_year": ',
                                   '[2015]'])
@@ -250,7 +282,7 @@ def test_end_to_end_deterministic(tmp_path_factory):
     for i in range(2):
         workdir = tmp_path_factory.mktemp(f"det{i}")
         cfg = tiny_cfg(workdir)
-        Pipeline(cfg, threads=1).end_to_end()
+        Pipeline(cfg).end_to_end()
         runs.append(workdir)
     a, b = runs
     for rel in ("eval/run_bm25.txt", "eval/run_two_stage.txt",
@@ -296,6 +328,15 @@ def test_cli_exit_codes(tmp_path):
     # success -> 0
     assert main(["--config", str(cfg_path), "--quiet", "synth"]) == 0
     assert main(["--config", str(cfg_path), "--quiet", "index"]) == 0
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    assert main(["--threads", "2", "synth"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: acadsearch") and "error:" in err
+    assert "Traceback" not in err
+    with pytest.raises(ConfigError, match="threads"):
+        Pipeline(tiny_cfg(tmp_path / "w"), threads=2)
 
 
 def test_cli_data_error_exit_3(tmp_path):
