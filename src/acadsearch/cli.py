@@ -10,10 +10,9 @@ import logging
 import sys
 
 from .errors import AcadSearchError
-from .pipeline import Pipeline, load_config
+from .pipeline import STAGES, Pipeline, load_config
 
-STAGES = ("synth", "ingest", "index", "train-dense", "embed", "build-kg",
-          "train-kg", "score", "tune", "eval", "ablate", "end-to-end")
+COMMANDS = (*STAGES, "end-to-end")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,9 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                         dest="sets", help="override a config value, "
                         "e.g. --set kg_train.model=transe")
-    sub = parser.add_subparsers(dest="stage", metavar="|".join(STAGES))
-    for stage in STAGES:
-        sub.add_parser(stage)
+    sub = parser.add_subparsers(dest="stage", metavar="|".join(COMMANDS))
+    for command in COMMANDS:
+        sub.add_parser(command)
     train_kg = sub.choices["train-kg"]
     train_kg.add_argument("--model", choices=("transe", "transh"), default=None,
                           help="override kg_train.model for this run")
@@ -65,22 +64,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         pipeline = Pipeline(cfg, force=args.force)
-        stage_fn = {
-            "synth": pipeline.stage_synth,
-            "ingest": pipeline.stage_ingest,
-            "index": pipeline.stage_index,
-            "train-dense": pipeline.stage_train_dense,
-            "embed": pipeline.stage_embed,
-            "build-kg": pipeline.stage_build_kg,
-            "train-kg": lambda: pipeline.stage_train_kg(
-                model=getattr(args, "model", None)),
-            "score": pipeline.stage_score,
-            "tune": pipeline.stage_tune,
-            "eval": pipeline.stage_eval,
-            "ablate": pipeline.stage_ablate,
-            "end-to-end": pipeline.end_to_end,
-        }[args.stage]
-        stage_fn()
+        if args.stage == "end-to-end":
+            pipeline.end_to_end()
+        elif args.stage == "train-kg":
+            pipeline.stage_train_kg(model=args.model)
+        else:
+            getattr(pipeline, "stage_" + args.stage.replace("-", "_"))()
     except AcadSearchError as exc:
         print(f"acadsearch: error: {exc}", file=sys.stderr)
         return exc.exit_code

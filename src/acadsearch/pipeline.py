@@ -1,12 +1,14 @@
 """Stage orchestration: artifacts, manifests, and the end-to-end driver.
 
 Each stage writes its outputs plus a manifest (config hash of the sections
-it reads, content hashes of its inputs) into one workdir subdirectory.
-Downstream stages refuse to run against stale or missing artifacts unless
-forced; deleting a downstream directory never invalidates upstream ones.
+it depends on, content hashes of every workdir file it read) into one
+workdir subdirectory. Downstream stages refuse to run against stale or
+missing artifacts unless forced; deleting a downstream directory never
+invalidates upstream ones.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -79,38 +81,47 @@ DEFAULT_CONFIG: dict = {
     "eval": {"permutations": 10000},
 }
 
-STAGE_SECTIONS: dict[str, tuple[str, ...]] = {
-    "synth": ("seed", "synth"),
-    "ingest": ("paths",),
-    "index": (),
-    "splits": ("seed", "split", "bm25"),
-    "train-dense": ("seed", "encoder", "split"),
-    "embed": ("encoder",),
-    "build-kg": ("split", "kg"),
-    "train-kg": ("seed", "kg_train"),
-    "score": ("bm25",),
-    "tune": ("fusion",),
-    "eval": ("seed", "eval", "fusion"),
-    "ablate": ("seed", "kg", "kg_train", "fusion", "eval"),
+# stage name -> (workdir subdirectory, config sections its manifest hashes);
+# train-kg writes one subdirectory per KG model under its own
+STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "synth": ("corpus", ("seed", "synth")),
+    "ingest": ("corpus", ("paths",)),
+    "index": ("index", ()),
+    "splits": ("splits", ("seed", "split", "bm25")),
+    "train-dense": ("dense", ("seed", "encoder", "split")),
+    "embed": ("embed", ("encoder",)),
+    "build-kg": ("kg", ("split", "kg")),
+    "train-kg": ("kg_embed", ("seed", "kg_train")),
+    "score": ("score", ("bm25",)),
+    "tune": ("tune", ("fusion",)),
+    "eval": ("eval", ("seed", "eval", "fusion")),
+    "ablate": ("ablate", ("seed", "kg", "kg_train", "fusion", "eval")),
 }
+
+# a manifest of any other version lists an incomplete set of inputs
+MANIFEST_VERSION = 2
 
 USER_CHANNELS = ("kg", "mean", "attention", "selfcite", "pagerank", "pop", "none")
 
 
+def _merge(dst: dict, src: dict, prefix: str = "") -> None:
+    for key, value in src.items():
+        if key not in dst:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        section = isinstance(dst[key], dict)
+        if section != isinstance(value, dict):
+            raise ConfigError(f"config {'section' if section else 'key'} "
+                              f"{prefix + key!r} cannot be set to {value!r}")
+        if section:
+            _merge(dst[key], value, prefix + key + ".")
+        else:
+            dst[key] = value
+
+
 def merge_config(overrides: dict | None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-
-    def merge(dst, src, prefix=""):
-        for key, value in src.items():
-            if key not in dst:
-                raise ConfigError(f"unknown config key {prefix + key!r}")
-            if isinstance(dst[key], dict) and isinstance(value, dict):
-                merge(dst[key], value, prefix + key + ".")
-            else:
-                dst[key] = value
-
     if overrides:
-        merge(cfg, overrides)
+        _merge(cfg, overrides)
     return cfg
 
 
@@ -120,8 +131,10 @@ def load_config(path: str | Path | None, sets: list[str] | None = None) -> dict:
     if path is not None:
         try:
             overrides = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # ValueError: bad JSON or UTF-8
             raise ConfigError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
     cfg = merge_config(overrides)
     for item in sets or []:
         if "=" not in item:
@@ -131,15 +144,9 @@ def load_config(path: str | Path | None, sets: list[str] | None = None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config section {dotted!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node[parts[-1]] = value
+        for part in reversed(dotted.split(".")):
+            value = {part: value}
+        _merge(cfg, value)
     return cfg
 
 
@@ -167,7 +174,7 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 
 def stage_config_hash(cfg: dict, stage: str) -> str:
-    sections = {s: cfg[s] for s in STAGE_SECTIONS[stage]}
+    sections = {s: cfg[s] for s in STAGES[stage][1]}
     return _hash_bytes(json.dumps(sections, sort_keys=True).encode())
 
 
@@ -200,8 +207,33 @@ def _check_candidates(record, known_doc_ids: set[str]) -> dict:
     return record
 
 
+def _load_candidates(path: Path, corpus) -> list[dict]:
+    """The candidate records ``score`` wrote, each checked by _check_candidates."""
+    known = {d.doc_id for d in corpus.docs}
+    records = []
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            records.append(_check_candidates(json.loads(line), known))
+        except (TypeError, ValueError) as exc:   # ValueError: also bad JSON
+            raise DataFormatError(f"{path}: bad candidate record on line "
+                                  f"{lineno}: {exc}") from None
+    return records
+
+
+def _producers(dir_rel: str) -> str:
+    """The stage(s) that write ``dir_rel``, for 'run ... first' messages."""
+    top = dir_rel.split("/")[0]
+    return " or ".join(f"`{name}`" for name, (d, _) in STAGES.items() if d == top)
+
+
 class Pipeline:
-    """Executes stages against one workdir."""
+    """Executes stages against one workdir.
+
+    A stage body runs inside :meth:`_stage` and opens every workdir file it
+    reads through :meth:`_input`, so its manifest lists exactly those files.
+    """
 
     def __init__(self, cfg: dict, threads: int = 1, force: bool = False):
         # only perfbench/workloads.py passes it; the next benchmark change deletes it
@@ -213,112 +245,125 @@ class Pipeline:
 
     # -- manifests ------------------------------------------------------------
 
-    def _dir(self, name: str) -> Path:
-        d = self.workdir / name
-        d.mkdir(parents=True, exist_ok=True)
-        return d
+    @contextlib.contextmanager
+    def _stage(self, name: str, subdir: str = ""):
+        """Yield the stage's output directory; on success write its manifest.
 
-    def _write_manifest(self, dir_path: Path, stage: str,
-                        inputs: dict[str, Path], outputs: list[Path],
-                        started: float) -> None:
+        The manifest records the config sections the stage depends on and a
+        sha256 of every file the body read through :meth:`_input`.
+        """
+        started = time.time()
+        out = self.workdir / STAGES[name][0] / subdir
+        out.mkdir(parents=True, exist_ok=True)
+        self._reads: set[str] = set()
+        self._checked: set[str] = set()
+        # one hash per file per stage call, shared by upstream checks and
+        # this stage's own manifest
+        self._digests: dict[str, str] = {}
+        yield out
         manifest = {
-            "stage": stage,
-            "version": 1,
-            "config_hash": stage_config_hash(self.cfg, stage),
-            "config": {s: self.cfg[s] for s in STAGE_SECTIONS[stage]},
-            "inputs": {str(p.relative_to(self.workdir)): _hash_file(p)
-                       for p in inputs.values()},
-            "outputs": [str(p.relative_to(self.workdir)) for p in outputs],
+            "stage": name,
+            "version": MANIFEST_VERSION,
+            "config_hash": stage_config_hash(self.cfg, name),
+            "config": {s: self.cfg[s] for s in STAGES[name][1]},
+            "inputs": {rel: self._digest(rel) for rel in self._reads},
             "duration_s": round(time.time() - started, 3),
         }
-        (dir_path / "manifest.json").write_text(
+        (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    def _require(self, dir_rel: str, *files: str, hint: str | None = None
-                 ) -> list[Path]:
-        """Check a predecessor's artifacts exist and match the current config."""
-        stage_dir = self.workdir / dir_rel
-        manifest_path = stage_dir / "manifest.json"
-        hint = hint or dir_rel
+    def _digest(self, rel: str) -> str:
+        if rel not in self._digests:
+            self._digests[rel] = _hash_file(self.workdir / rel)
+        return self._digests[rel]
+
+    def _input(self, rel: str) -> Path:
+        """``workdir/rel``, recorded as a read of the running stage.
+
+        The first read from a directory checks the manifest there; the
+        file itself must exist.
+        """
+        dir_rel = rel.rsplit("/", 1)[0]
+        if dir_rel not in self._checked:
+            self._check_fresh(dir_rel)
+            self._checked.add(dir_rel)
+        path = self.workdir / rel
+        if not path.exists():
+            raise MissingArtifactError(
+                f"artifact {rel} is missing: run {_producers(dir_rel)} first")
+        self._reads.add(rel)
+        return path
+
+    def _check_fresh(self, dir_rel: str) -> None:
+        """The artifacts in ``dir_rel`` exist and, unless forced, were built
+        by this manifest version from the current config and inputs."""
+        manifest_path = self.workdir / dir_rel / "manifest.json"
+        rerun = _producers(dir_rel)
         if not manifest_path.exists():
             raise MissingArtifactError(
-                f"missing artifacts in {dir_rel!r}: run `{hint}` first")
-        paths = []
-        for name in files:
-            p = stage_dir / name
-            if not p.exists():
-                raise MissingArtifactError(
-                    f"artifact {dir_rel}/{name} is missing: run `{hint}` first")
-            paths.append(p)
+                f"missing artifacts in {dir_rel!r}: run {rerun} first")
         manifest = _read_json_object(manifest_path, "stage manifest")
+        if self.force:
+            return
         stage = manifest.get("stage")
-        if stage in STAGE_SECTIONS and not self.force:
-            if manifest.get("config_hash") != stage_config_hash(self.cfg, stage):
+        if manifest.get("version") != MANIFEST_VERSION or stage not in STAGES:
+            raise StaleArtifactError(
+                f"artifacts in {dir_rel!r} were built by another version; "
+                f"re-run {rerun} or pass --force")
+        if manifest.get("config_hash") != stage_config_hash(self.cfg, stage):
+            raise StaleArtifactError(
+                f"artifacts in {dir_rel!r} were built with a different "
+                f"config; re-run {rerun} or pass --force")
+        inputs = manifest.get("inputs")
+        if not isinstance(inputs, dict):
+            raise DataFormatError(f"{manifest_path}: stage manifest has no "
+                                  f"inputs object")
+        for rel, digest in inputs.items():
+            if not (self.workdir / rel).exists() or self._digest(rel) != digest:
                 raise StaleArtifactError(
-                    f"artifacts in {dir_rel!r} were built with a different "
-                    f"config; re-run `{hint}` or pass --force")
-            for rel, digest in manifest.get("inputs", {}).items():
-                p = self.workdir / rel
-                if not p.exists() or _hash_file(p) != digest:
-                    raise StaleArtifactError(
-                        f"input {rel!r} of {dir_rel!r} changed since it was "
-                        f"built; re-run `{hint}` or pass --force")
-        return paths
+                    f"input {rel!r} of {dir_rel!r} changed since it was "
+                    f"built; re-run {rerun} or pass --force")
 
     # -- corpus stages ----------------------------------------------------------
 
     def stage_synth(self) -> None:
-        started = time.time()
-        out = self._dir("corpus")
-        synth_kwargs = {k: (tuple(v) if isinstance(v, list) else v)
-                        for k, v in self.cfg["synth"].items()}
-        synth_cfg = corpus_mod.SynthConfig(**synth_kwargs)
-        corpus, authors = corpus_mod.generate_synthetic(synth_cfg, self.cfg["seed"])
-        corpus_mod.save_corpus(corpus, out / "corpus.jsonl")
-        corpus_mod.save_authors(authors, out / "authors.jsonl")
-        self._write_manifest(out, "synth", {},
-                             [out / "corpus.jsonl", out / "authors.jsonl"], started)
+        with self._stage("synth") as out:
+            synth_kwargs = {k: (tuple(v) if isinstance(v, list) else v)
+                            for k, v in self.cfg["synth"].items()}
+            synth_cfg = corpus_mod.SynthConfig(**synth_kwargs)
+            corpus, authors = corpus_mod.generate_synthetic(synth_cfg, self.cfg["seed"])
+            corpus_mod.save_corpus(corpus, out / "corpus.jsonl")
+            corpus_mod.save_authors(authors, out / "authors.jsonl")
         log.info("synth: %d documents, %d authors", len(corpus), len(authors))
 
     def stage_ingest(self) -> None:
-        started = time.time()
         src = self.cfg["paths"]["corpus"]
         if not src:
             raise ConfigError("ingest requires paths.corpus")
-        out = self._dir("corpus")
-        corpus, report = corpus_mod.load_corpus(src, self.cfg["paths"]["authors"])
-        corpus_mod.save_corpus(corpus, out / "corpus.jsonl")
-        corpus_mod.save_authors(sorted(corpus.authors.values(),
-                                       key=lambda a: a.author_id),
-                                out / "authors.jsonl")
-        self._write_manifest(out, "ingest", {},
-                             [out / "corpus.jsonl", out / "authors.jsonl"], started)
+        with self._stage("ingest") as out:
+            corpus, report = corpus_mod.load_corpus(src, self.cfg["paths"]["authors"])
+            corpus_mod.save_corpus(corpus, out / "corpus.jsonl")
+            corpus_mod.save_authors(sorted(corpus.authors.values(),
+                                           key=lambda a: a.author_id),
+                                    out / "authors.jsonl")
         log.info("ingest: %d documents (%d self-refs, %d dangling refs dropped)",
                  report.documents, report.self_references_dropped,
                  report.dangling_references_dropped)
 
     def _load_corpus(self):
-        corpus_file = self.workdir / "corpus" / "corpus.jsonl"
-        authors_file = self.workdir / "corpus" / "authors.jsonl"
-        if not corpus_file.exists():
-            raise MissingArtifactError(
-                "no corpus in workdir: run `synth` or `ingest` first")
-        self._require("corpus", "corpus.jsonl", hint="synth")
+        corpus_file = self._input("corpus/corpus.jsonl")
+        has_authors = (self.workdir / "corpus" / "authors.jsonl").exists()
         corpus, _ = corpus_mod.load_corpus(
-            corpus_file, authors_file if authors_file.exists() else None)
+            corpus_file, self._input("corpus/authors.jsonl") if has_authors else None)
         return corpus
 
     # -- index -------------------------------------------------------------------
 
     def stage_index(self) -> None:
-        started = time.time()
-        corpus = self._load_corpus()
-        out = self._dir("index")
-        index = build_index(corpus)
-        save_index(index, out / "index.bin")
-        self._write_manifest(
-            out, "index", {"corpus": self.workdir / "corpus" / "corpus.jsonl"},
-            [out / "index.bin"], started)
+        with self._stage("index") as out:
+            corpus = self._load_corpus()
+            index = build_index(corpus)
+            save_index(index, out / "index.bin")
         log.info("index: %d documents, %d terms", index.doc_count,
                  len(index.postings))
 
@@ -327,83 +372,64 @@ class Pipeline:
     def _bm25_params(self) -> BM25Params:
         return BM25Params(self.cfg["bm25"]["k1"], self.cfg["bm25"]["b"])
 
-    def ensure_splits(self) -> None:
-        if (self.workdir / "splits" / "manifest.json").exists():
-            try:
-                self._require("splits", "split.json")
-                return
-            except (MissingArtifactError, StaleArtifactError):
-                pass
-        self.stage_splits()
-
     def stage_splits(self) -> None:
-        started = time.time()
-        corpus = self._load_corpus()
-        self._require("index", "index.bin", hint="index")
-        index = load_index(self.workdir / "index" / "index.bin")
-        out = self._dir("splits")
-        scfg = self.cfg["split"]
-        cutoff = scfg["cutoff_year"]
-        if cutoff is None:
-            years = np.sort(np.asarray(corpus.years()))
-            cutoff = int(years[int(0.8 * (len(years) - 1))])
-        train_view, test_queries = corpus_mod.chronological_split(
-            corpus, SplitSpec(cutoff))
-        rng = np.random.default_rng(self.cfg["seed"] + 101)
-        if len(test_queries) > scfg["max_test_queries"]:
-            keep = np.sort(rng.choice(len(test_queries),
-                                      size=scfg["max_test_queries"], replace=False))
-            test_queries = [test_queries[i] for i in keep]
-        pool, _ = corpus_mod.make_queries(corpus, train_view.ordinals)
-        perm = rng.permutation(len(pool))
-        val_queries = [pool[i] for i in perm[:scfg["max_val_queries"]]]
-        train_queries = [pool[i] for i in
-                         perm[scfg["max_val_queries"]:
-                              scfg["max_val_queries"] + scfg["max_train_queries"]]]
-        params = self._bm25_params()
-        depth = self.cfg["bm25"]["depth"]
-        train_qrels, train_drop = corpus_mod.build_qrels(
-            corpus, index, train_queries, "train", depth, params)
-        # Validation qrels are citations-only: union-mode relevance contains
-        # the BM25 top-100 itself, which at this scale makes pure BM25 the
-        # trivially optimal fusion and blinds the tuner.
-        val_qrels, val_drop = corpus_mod.build_qrels(
-            corpus, index, val_queries, "test", depth, params,
-            test_union=scfg["test_union_qrels"])
-        test_qrels, test_drop = corpus_mod.build_qrels(
-            corpus, index, test_queries, "test", depth, params,
-            test_union=scfg["test_union_qrels"])
-        train_queries = [q for q in train_queries if q.query_id in train_qrels]
-        val_queries = [q for q in val_queries if q.query_id in val_qrels]
-        test_queries = [q for q in test_queries if q.query_id in test_qrels]
-        corpus_mod.save_queries(train_queries, out / "train_queries.jsonl")
-        corpus_mod.save_queries(val_queries, out / "val_queries.jsonl")
-        corpus_mod.save_queries(test_queries, out / "test_queries.jsonl")
-        corpus_mod.save_qrels(train_qrels, out / "train_qrels.txt")
-        corpus_mod.save_qrels(val_qrels, out / "val_qrels.txt")
-        corpus_mod.save_qrels(test_qrels, out / "test_qrels.txt")
-        (out / "split.json").write_text(json.dumps({
-            "cutoff_year": cutoff,
-            "train_queries": len(train_queries),
-            "val_queries": len(val_queries),
-            "test_queries": len(test_queries),
-            "dropped_empty_qrels": {"train": len(train_drop),
-                                    "val": len(val_drop),
-                                    "test": len(test_drop)},
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        self._write_manifest(
-            out, "splits",
-            {"corpus": self.workdir / "corpus" / "corpus.jsonl",
-             "index": self.workdir / "index" / "index.bin"},
-            [out / "split.json"], started)
+        with self._stage("splits") as out:
+            corpus = self._load_corpus()
+            index = load_index(self._input("index/index.bin"))
+            scfg = self.cfg["split"]
+            cutoff = scfg["cutoff_year"]
+            if cutoff is None:
+                years = np.sort(np.asarray(corpus.years()))
+                cutoff = int(years[int(0.8 * (len(years) - 1))])
+            train_view, test_queries = corpus_mod.chronological_split(
+                corpus, SplitSpec(cutoff))
+            rng = np.random.default_rng(self.cfg["seed"] + 101)
+            if len(test_queries) > scfg["max_test_queries"]:
+                keep = np.sort(rng.choice(len(test_queries),
+                                          size=scfg["max_test_queries"], replace=False))
+                test_queries = [test_queries[i] for i in keep]
+            pool, _ = corpus_mod.make_queries(corpus, train_view.ordinals)
+            perm = rng.permutation(len(pool))
+            val_queries = [pool[i] for i in perm[:scfg["max_val_queries"]]]
+            train_queries = [pool[i] for i in
+                             perm[scfg["max_val_queries"]:
+                                  scfg["max_val_queries"] + scfg["max_train_queries"]]]
+            params = self._bm25_params()
+            depth = self.cfg["bm25"]["depth"]
+            train_qrels, train_drop = corpus_mod.build_qrels(
+                corpus, index, train_queries, "train", depth, params)
+            # Validation qrels are citations-only: union-mode relevance contains
+            # the BM25 top-100 itself, which at this scale makes pure BM25 the
+            # trivially optimal fusion and blinds the tuner.
+            val_qrels, val_drop = corpus_mod.build_qrels(
+                corpus, index, val_queries, "test", depth, params,
+                test_union=scfg["test_union_qrels"])
+            test_qrels, test_drop = corpus_mod.build_qrels(
+                corpus, index, test_queries, "test", depth, params,
+                test_union=scfg["test_union_qrels"])
+            train_queries = [q for q in train_queries if q.query_id in train_qrels]
+            val_queries = [q for q in val_queries if q.query_id in val_qrels]
+            test_queries = [q for q in test_queries if q.query_id in test_qrels]
+            corpus_mod.save_queries(train_queries, out / "train_queries.jsonl")
+            corpus_mod.save_queries(val_queries, out / "val_queries.jsonl")
+            corpus_mod.save_queries(test_queries, out / "test_queries.jsonl")
+            corpus_mod.save_qrels(train_qrels, out / "train_qrels.txt")
+            corpus_mod.save_qrels(val_qrels, out / "val_qrels.txt")
+            corpus_mod.save_qrels(test_qrels, out / "test_qrels.txt")
+            (out / "split.json").write_text(json.dumps({
+                "cutoff_year": cutoff,
+                "train_queries": len(train_queries),
+                "val_queries": len(val_queries),
+                "test_queries": len(test_queries),
+                "dropped_empty_qrels": {"train": len(train_drop),
+                                        "val": len(val_drop),
+                                        "test": len(test_drop)},
+            }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         log.info("splits: cutoff %d; %d train / %d val / %d test queries",
                  cutoff, len(train_queries), len(val_queries), len(test_queries))
 
     def _cutoff_year(self) -> int:
-        split_file = self.workdir / "splits" / "split.json"
-        if not split_file.exists():
-            raise MissingArtifactError("no split artifact: run `score` (or any "
-                                       "stage that builds splits) first")
+        split_file = self._input("splits/split.json")
         split = _read_json_object(split_file, "split record")
         try:
             return int(split["cutoff_year"])
@@ -414,56 +440,50 @@ class Pipeline:
     # -- dense encoder ---------------------------------------------------------------
 
     def stage_train_dense(self) -> None:
-        started = time.time()
-        corpus = self._load_corpus()
-        self.ensure_splits()
-        out = self._dir("dense")
-        ecfg = self.cfg["encoder"]
-        queries = corpus_mod.load_queries(
-            self.workdir / "splits" / "train_queries.jsonl")
-        qrels = corpus_mod.load_qrels(self.workdir / "splits" / "train_qrels.txt")
-        year_cap = self._cutoff_year() - ecfg["train_year_gap"]
-        queries = [q for q in queries if q.year < year_cap]
-        pairs: list[tuple[str, int]] = []
-        cap = ecfg["max_positives_per_query"]
-        for q in queries:
-            relevant = qrels.relevant(q.query_id)
-            source = corpus.get(q.source_doc_id) if q.source_doc_id in corpus else None
-            cited = [r for r in source.references if r in relevant] if source else []
-            positives = cited[:cap] if cited else sorted(relevant)[:cap]
-            pairs.extend((q.text, corpus.ordinal(d)) for d in positives)
-        encoder = HashedBowEncoder(ecfg["dim"], ecfg["buckets"],
-                                   seed=self.cfg["seed"])
-        texts = [d.text() for d in corpus.docs]
-        losses = train_encoder(
-            encoder, pairs, texts, epochs=ecfg["epochs"], lr=ecfg["lr"],
-            batch_size=ecfg["batch_size"], margin=ecfg["margin"],
-            seed=self.cfg["seed"], weight_decay=ecfg["weight_decay"])
-        encoder.save(out / "encoder.bin")
-        (out / "train_log.txt").write_text(
-            "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
-                    for i, loss in enumerate(losses)), encoding="utf-8")
-        self._write_manifest(
-            out, "train-dense",
-            {"corpus": self.workdir / "corpus" / "corpus.jsonl",
-             "splits": self.workdir / "splits" / "split.json"},
-            [out / "encoder.bin"], started)
+        with self._stage("train-dense") as out:
+            corpus = self._load_corpus()
+            ecfg = self.cfg["encoder"]
+            queries = corpus_mod.load_queries(
+                self._input("splits/train_queries.jsonl"))
+            qrels = corpus_mod.load_qrels(self._input("splits/train_qrels.txt"))
+            year_cap = self._cutoff_year() - ecfg["train_year_gap"]
+            queries = [q for q in queries if q.year < year_cap]
+            pairs: list[tuple[str, int]] = []
+            cap = ecfg["max_positives_per_query"]
+            for q in queries:
+                relevant = qrels.relevant(q.query_id)
+                source = (corpus.get(q.source_doc_id)
+                          if q.source_doc_id in corpus else None)
+                cited = ([r for r in source.references if r in relevant]
+                         if source else [])
+                positives = cited[:cap] if cited else sorted(relevant)[:cap]
+                pairs.extend((q.text, corpus.ordinal(d)) for d in positives)
+            encoder = HashedBowEncoder(ecfg["dim"], ecfg["buckets"],
+                                       seed=self.cfg["seed"])
+            texts = [d.text() for d in corpus.docs]
+            losses = train_encoder(
+                encoder, pairs, texts, epochs=ecfg["epochs"], lr=ecfg["lr"],
+                batch_size=ecfg["batch_size"], margin=ecfg["margin"],
+                seed=self.cfg["seed"], weight_decay=ecfg["weight_decay"])
+            encoder.save(out / "encoder.bin")
+            (out / "train_log.txt").write_text(
+                "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
+                        for i, loss in enumerate(losses)), encoding="utf-8")
         log.info("train-dense: %d pairs, epoch losses %s", len(pairs),
                  [round(x, 4) for x in losses])
 
     def stage_embed(self) -> None:
-        started = time.time()
-        corpus = self._load_corpus()
-        self._require("dense", "encoder.bin", hint="train-dense")
-        encoder = HashedBowEncoder.load(self.workdir / "dense" / "encoder.bin")
-        out = self._dir("embed")
-        store = embed_corpus(encoder, corpus.docs)
-        store.save(out / "doc_embeddings.bin")
-        self._write_manifest(
-            out, "embed", {"encoder": self.workdir / "dense" / "encoder.bin"},
-            [out / "doc_embeddings.bin"], started)
+        with self._stage("embed") as out:
+            corpus = self._load_corpus()
+            encoder = HashedBowEncoder.load(self._input("dense/encoder.bin"))
+            store = embed_corpus(encoder, corpus.docs)
+            store.save(out / "doc_embeddings.bin")
         log.info("embed: %d rows, %d empty", store.count,
                  int(store.empty_mask.sum()))
+
+    def _doc_embeddings(self, corpus):
+        return load_precomputed_embeddings(
+            self._input("embed/doc_embeddings.bin"), expect_count=len(corpus))
 
     # -- knowledge graph ---------------------------------------------------------------
 
@@ -474,24 +494,17 @@ class Pipeline:
         return KGConfig(**merged)
 
     def stage_build_kg(self) -> None:
-        started = time.time()
-        corpus = self._load_corpus()
-        self.ensure_splits()
-        out = self._dir("kg")
-        kg_config = self._kg_config()
-        authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
-        catalog = build_catalog(corpus, authors, kg_config)
-        cutoff = self._cutoff_year()
-        train_view = corpus.view([i for i, d in enumerate(corpus.docs)
-                                  if d.year < cutoff])
-        triples = build_kg(train_view, authors, catalog, kg_config)
-        save_triples(triples, catalog, out / "triples.tsv")
-        (out / "stats.txt").write_text(kg_stats(triples, catalog), encoding="utf-8")
-        self._write_manifest(
-            out, "build-kg",
-            {"corpus": self.workdir / "corpus" / "corpus.jsonl",
-             "splits": self.workdir / "splits" / "split.json"},
-            [out / "triples.tsv"], started)
+        with self._stage("build-kg") as out:
+            corpus = self._load_corpus()
+            kg_config = self._kg_config()
+            authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
+            catalog = build_catalog(corpus, authors, kg_config)
+            cutoff = self._cutoff_year()
+            train_view = corpus.view([i for i, d in enumerate(corpus.docs)
+                                      if d.year < cutoff])
+            triples = build_kg(train_view, authors, catalog, kg_config)
+            save_triples(triples, catalog, out / "triples.tsv")
+            (out / "stats.txt").write_text(kg_stats(triples, catalog), encoding="utf-8")
         log.info("build-kg: %d triples", len(triples))
 
     def _kg_train_config(self, model: str | None = None) -> KGTrainConfig:
@@ -501,94 +514,59 @@ class Pipeline:
         return KGTrainConfig(seed=self.cfg["seed"], **kcfg)
 
     def stage_train_kg(self, model: str | None = None) -> None:
-        started = time.time()
-        corpus = self._load_corpus()
-        self._require("kg", "triples.tsv", hint="build-kg")
-        self._require("embed", "doc_embeddings.bin", hint="embed")
         config = self._kg_train_config(model)
-        out = self._dir(f"kg_embed/{config.model}")
-        kg_config = self._kg_config()
-        authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
-        catalog = build_catalog(corpus, authors, kg_config)
-        triples = load_triples(self.workdir / "kg" / "triples.tsv", catalog)
-        store = load_precomputed_embeddings(
-            self.workdir / "embed" / "doc_embeddings.bin",
-            expect_count=len(corpus))
-        emb = train_kg(triples, store, catalog, config)
-        save_kg_embeddings(emb, out / "entities.bin", out / "entities.manifest.txt")
-        (out / "train_log.txt").write_text(
-            "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
-                    for i, loss in enumerate(emb.epoch_losses)), encoding="utf-8")
-        self._write_manifest(
-            out, "train-kg",
-            {"triples": self.workdir / "kg" / "triples.tsv",
-             "embeddings": self.workdir / "embed" / "doc_embeddings.bin"},
-            [out / "entities.bin"], started)
+        with self._stage("train-kg", config.model) as out:
+            corpus = self._load_corpus()
+            authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
+            catalog = build_catalog(corpus, authors, self._kg_config())
+            triples = load_triples(self._input("kg/triples.tsv"), catalog)
+            store = self._doc_embeddings(corpus)
+            emb = train_kg(triples, store, catalog, config)
+            save_kg_embeddings(emb, out / "entities.bin",
+                               out / "entities.manifest.txt")
+            (out / "train_log.txt").write_text(
+                "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
+                        for i, loss in enumerate(emb.epoch_losses)), encoding="utf-8")
         log.info("train-kg(%s): %d entities, final loss %.6f", config.model,
                  catalog.total, emb.epoch_losses[-1] if emb.epoch_losses else 0.0)
+
+    def _load_kg_embeddings(self, model: str, catalog):
+        return load_kg_embeddings(
+            self._input(f"kg_embed/{model}/entities.bin"),
+            self._input(f"kg_embed/{model}/entities.manifest.txt"), catalog)
 
     # -- scoring -----------------------------------------------------------------------
 
     def stage_score(self) -> None:
-        started = time.time()
-        corpus = self._load_corpus()
-        self._require("index", "index.bin", hint="index")
-        self._require("dense", "encoder.bin", hint="train-dense")
-        self._require("embed", "doc_embeddings.bin", hint="embed")
-        self.ensure_splits()
-        out = self._dir("score")
-        index = load_index(self.workdir / "index" / "index.bin")
-        encoder = HashedBowEncoder.load(self.workdir / "dense" / "encoder.bin")
-        store = load_precomputed_embeddings(
-            self.workdir / "embed" / "doc_embeddings.bin", expect_count=len(corpus))
-        params = self._bm25_params()
-        depth = self.cfg["bm25"]["depth"]
-        years = np.asarray([corpus.get(d).year for d in index.doc_ids])
-        for split in ("val", "test"):
-            queries = corpus_mod.load_queries(
-                self.workdir / "splits" / f"{split}_queries.jsonl")
-            with open(out / f"{split}_candidates.jsonl", "w", encoding="utf-8") as fh:
-                for q in queries:
-                    allowed = years < q.year
-                    hits = retrieve_topk(index, tokenize(q.text), depth, params,
-                                         allowed=allowed)
-                    if not hits:
-                        continue
-                    doc_ids = [index.doc_ids[o] for o, _ in hits]
-                    q_vec = encoder.encode(q.text)
-                    dense = [float(np.dot(q_vec, store.row(corpus.ordinal(d))))
-                             for d in doc_ids]
-                    fh.write(json.dumps({
-                        "query_id": q.query_id, "user_id": q.user_id,
-                        "year": q.year, "text": q.text, "doc_ids": doc_ids,
-                        "bm25": [s for _, s in hits], "dense": dense,
-                    }) + "\n")
-        self._write_manifest(
-            out, "score",
-            {"index": self.workdir / "index" / "index.bin",
-             "encoder": self.workdir / "dense" / "encoder.bin",
-             "embeddings": self.workdir / "embed" / "doc_embeddings.bin",
-             "splits": self.workdir / "splits" / "split.json",
-             "val_queries": self.workdir / "splits" / "val_queries.jsonl",
-             "test_queries": self.workdir / "splits" / "test_queries.jsonl"},
-            [out / "val_candidates.jsonl", out / "test_candidates.jsonl"], started)
+        with self._stage("score") as out:
+            corpus = self._load_corpus()
+            index = load_index(self._input("index/index.bin"))
+            encoder = HashedBowEncoder.load(self._input("dense/encoder.bin"))
+            store = self._doc_embeddings(corpus)
+            params = self._bm25_params()
+            depth = self.cfg["bm25"]["depth"]
+            years = np.asarray([corpus.get(d).year for d in index.doc_ids])
+            for split in ("val", "test"):
+                queries = corpus_mod.load_queries(
+                    self._input(f"splits/{split}_queries.jsonl"))
+                with open(out / f"{split}_candidates.jsonl", "w",
+                          encoding="utf-8") as fh:
+                    for q in queries:
+                        allowed = years < q.year
+                        hits = retrieve_topk(index, tokenize(q.text), depth,
+                                             params, allowed=allowed)
+                        if not hits:
+                            continue
+                        doc_ids = [index.doc_ids[o] for o, _ in hits]
+                        q_vec = encoder.encode(q.text)
+                        dense = [float(np.dot(q_vec, store.row(corpus.ordinal(d))))
+                                 for d in doc_ids]
+                        fh.write(json.dumps({
+                            "query_id": q.query_id, "user_id": q.user_id,
+                            "year": q.year, "text": q.text, "doc_ids": doc_ids,
+                            "bm25": [s for _, s in hits], "dense": dense,
+                        }) + "\n")
         log.info("score: candidate lists written for val and test")
-
-    def _load_candidates(self, split: str, corpus) -> list[dict]:
-        path = self.workdir / "score" / f"{split}_candidates.jsonl"
-        if not path.exists():
-            raise MissingArtifactError("no candidate lists: run `score` first")
-        known = {d.doc_id for d in corpus.docs}
-        records = []
-        for lineno, line in read_lines(path):
-            if not line.strip():
-                continue
-            try:
-                records.append(_check_candidates(json.loads(line), known))
-            except (TypeError, ValueError) as exc:   # ValueError: also bad JSON
-                raise DataFormatError(f"{path}: bad candidate record on line "
-                                      f"{lineno}: {exc}") from None
-        return records
 
     # -- user channels ------------------------------------------------------------------
 
@@ -640,23 +618,17 @@ class Pipeline:
                            kg_model: str | None = None) -> dict:
         resources: dict = {}
         if channel == "kg":
-            model = kg_model or self.cfg["kg_train"]["model"]
-            self._require(f"kg_embed/{model}", "entities.bin",
-                          "entities.manifest.txt", hint="train-kg")
             authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
             catalog = build_catalog(corpus, authors, self._kg_config())
-            kg_dir = self.workdir / "kg_embed" / model
-            resources["kg_emb"] = load_kg_embeddings(
-                kg_dir / "entities.bin", kg_dir / "entities.manifest.txt", catalog)
+            resources["kg_emb"] = self._load_kg_embeddings(
+                kg_model or self.cfg["kg_train"]["model"], catalog)
         elif channel in ("mean", "attention", "selfcite"):
             resources["contexts"] = build_user_contexts(corpus, self._cutoff_year())
             if channel in ("mean", "attention"):
-                resources["store"] = load_precomputed_embeddings(
-                    self.workdir / "embed" / "doc_embeddings.bin",
-                    expect_count=len(corpus))
+                resources["store"] = self._doc_embeddings(corpus)
             if channel == "attention":
                 resources["encoder"] = HashedBowEncoder.load(
-                    self.workdir / "dense" / "encoder.bin")
+                    self._input("dense/encoder.bin"))
         elif channel in ("pagerank", "pop"):
             graph = CitationGraph.from_corpus(corpus, self._cutoff_year())
             resources["graph"] = graph
@@ -692,106 +664,91 @@ class Pipeline:
         return systems
 
     def stage_tune(self) -> None:
-        started = time.time()
-        self._require("score", "val_candidates.jsonl", hint="score")
-        corpus = self._load_corpus()
-        out = self._dir("tune")
-        records = self._load_candidates("val", corpus)
-        qrels = corpus_mod.load_qrels(self.workdir / "splits" / "val_qrels.txt")
-        step = self.cfg["fusion"]["grid_step"]
-        lambdas: dict[str, dict] = {}
-        for name, channel, kg_model in self._systems():
-            resources = self._channel_resources(corpus, channel, kg_model)
-            lists = self._candidate_lists(records, corpus, channel, resources)
-            lam, grid_text = tune_lambdas(lists, qrels, step,
-                                          fix_user_zero=(channel == "none"))
-            lambdas[name] = {"bm25": lam.bm25, "dense": lam.dense,
-                             "user": lam.user}
-            (out / f"grid_{name}.txt").write_text(grid_text, encoding="utf-8")
-            log.info("tune %s: %s", name, lambdas[name])
-        (out / "lambdas.json").write_text(
-            json.dumps(lambdas, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        self._write_manifest(
-            out, "tune",
-            {"candidates": self.workdir / "score" / "val_candidates.jsonl",
-             "qrels": self.workdir / "splits" / "val_qrels.txt"},
-            [out / "lambdas.json"], started)
+        with self._stage("tune") as out:
+            candidates = self._input("score/val_candidates.jsonl")
+            corpus = self._load_corpus()
+            records = _load_candidates(candidates, corpus)
+            qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
+            step = self.cfg["fusion"]["grid_step"]
+            lambdas: dict[str, dict] = {}
+            for name, channel, kg_model in self._systems():
+                resources = self._channel_resources(corpus, channel, kg_model)
+                lists = self._candidate_lists(records, corpus, channel, resources)
+                lam, grid_text = tune_lambdas(lists, qrels, step,
+                                              fix_user_zero=(channel == "none"))
+                lambdas[name] = {"bm25": lam.bm25, "dense": lam.dense,
+                                 "user": lam.user}
+                (out / f"grid_{name}.txt").write_text(grid_text, encoding="utf-8")
+                log.info("tune %s: %s", name, lambdas[name])
+            (out / "lambdas.json").write_text(
+                json.dumps(lambdas, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     def stage_eval(self) -> None:
-        started = time.time()
-        self._require("score", "test_candidates.jsonl", hint="score")
-        self._require("tune", "lambdas.json", hint="tune")
-        corpus = self._load_corpus()
-        out = self._dir("eval")
-        records = self._load_candidates("test", corpus)
-        qrels = corpus_mod.load_qrels(self.workdir / "splits" / "test_qrels.txt")
-        lambdas_path = self.workdir / "tune" / "lambdas.json"
-        lambdas = _read_json_object(lambdas_path, "fusion weights file")
-        tuned = {}
-        for name, weights in lambdas.items():
-            try:
-                tuned[name] = Lambdas(**weights)
-            except (TypeError, ConfigError) as exc:
-                raise DataFormatError(f"{lambdas_path}: bad fusion weights for "
-                                      f"{name!r}: {exc}") from None
-        systems = [("bm25", "none", None, Lambdas(1.0, 0.0, 0.0))]
-        for name, channel, kg_model in self._systems():
-            if name not in tuned:
-                raise DataFormatError(f"{lambdas_path}: no fusion weights for "
-                                      f"{name!r}; re-run `tune`")
-            systems.append((name, channel, kg_model, tuned[name]))
-        reports: list[MetricReport] = []
-        outputs = []
-        for name, channel, kg_model, lam in systems:
-            resources = self._channel_resources(corpus, channel, kg_model)
-            fused_scores = {}
-            for cl in self._candidate_lists(records, corpus, channel, resources):
-                fused_scores[cl.query_id] = fuse(lam, cl)
-            run = run_from_rankings(name, fused_scores)
-            run_path = out / f"run_{name}.txt"
-            write_run(run, run_path)
-            outputs.append(run_path)
-            reports.append(evaluate_run(name, run.ranking_ids(), qrels))
-        pvals = {}
-        by_name = {r.name: r for r in reports}
-        pairs = [("two_stage", "bm25")]
-        pairs += [(name, "two_stage") for name, _, _ in self._systems()
-                  if name != "two_stage"]
-        for a, b in pairs:
-            if a in by_name and b in by_name:
-                qa = by_name[a].per_query["map@100"]
-                qb = by_name[b].per_query["map@100"]
-                shared = sorted(set(qa) & set(qb))
-                pvals[f"{a}_vs_{b}"] = significance_test(
-                    [qa[q] for q in shared], [qb[q] for q in shared],
-                    permutations=self.cfg["eval"]["permutations"],
-                    seed=self.cfg["seed"])
-        table = metrics_table(reports)
-        report_lines = [table, "fusion weights:"]
-        for name in sorted(lambdas):
-            lam = lambdas[name]
-            report_lines.append(f"  {name}: bm25={lam['bm25']:.2f} "
-                                f"dense={lam['dense']:.2f} user={lam['user']:.2f}")
-        report_lines.append("")
-        report_lines.append("paired randomization test on per-query map@100:")
-        for key in sorted(pvals):
-            report_lines.append(f"  {key}: p = {pvals[key]:.6f}")
-        (out / "report.txt").write_text("\n".join(report_lines) + "\n",
-                                        encoding="utf-8")
-        (out / "metrics.json").write_text(json.dumps({
-            "systems": {r.name: r.means for r in reports},
-            "n_queries": {r.name: len(next(iter(r.per_query.values()), {}))
-                          for r in reports},
-            "skipped_empty_qrels": {r.name: r.skipped_empty for r in reports},
-            "significance": pvals,
-            "lambdas": lambdas,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        self._write_manifest(
-            out, "eval",
-            {"candidates": self.workdir / "score" / "test_candidates.jsonl",
-             "qrels": self.workdir / "splits" / "test_qrels.txt",
-             "lambdas": self.workdir / "tune" / "lambdas.json"},
-            outputs + [out / "metrics.json", out / "report.txt"], started)
+        with self._stage("eval") as out:
+            candidates = self._input("score/test_candidates.jsonl")
+            lambdas_path = self._input("tune/lambdas.json")
+            corpus = self._load_corpus()
+            records = _load_candidates(candidates, corpus)
+            qrels = corpus_mod.load_qrels(self._input("splits/test_qrels.txt"))
+            lambdas = _read_json_object(lambdas_path, "fusion weights file")
+            tuned = {}
+            for name, weights in lambdas.items():
+                try:
+                    tuned[name] = Lambdas(**weights)
+                except (TypeError, ConfigError) as exc:
+                    raise DataFormatError(f"{lambdas_path}: bad fusion weights "
+                                          f"for {name!r}: {exc}") from None
+            systems = [("bm25", "none", None, Lambdas(1.0, 0.0, 0.0))]
+            for name, channel, kg_model in self._systems():
+                if name not in tuned:
+                    raise DataFormatError(f"{lambdas_path}: no fusion weights "
+                                          f"for {name!r}; re-run `tune`")
+                systems.append((name, channel, kg_model, tuned[name]))
+            reports: list[MetricReport] = []
+            for name, channel, kg_model, lam in systems:
+                resources = self._channel_resources(corpus, channel, kg_model)
+                fused_scores = {}
+                for cl in self._candidate_lists(records, corpus, channel,
+                                                resources):
+                    fused_scores[cl.query_id] = fuse(lam, cl)
+                run = run_from_rankings(name, fused_scores)
+                write_run(run, out / f"run_{name}.txt")
+                reports.append(evaluate_run(name, run.ranking_ids(), qrels))
+            pvals = {}
+            by_name = {r.name: r for r in reports}
+            pairs = [("two_stage", "bm25")]
+            pairs += [(name, "two_stage") for name, _, _ in self._systems()
+                      if name != "two_stage"]
+            for a, b in pairs:
+                if a in by_name and b in by_name:
+                    qa = by_name[a].per_query["map@100"]
+                    qb = by_name[b].per_query["map@100"]
+                    shared = sorted(set(qa) & set(qb))
+                    pvals[f"{a}_vs_{b}"] = significance_test(
+                        [qa[q] for q in shared], [qb[q] for q in shared],
+                        permutations=self.cfg["eval"]["permutations"],
+                        seed=self.cfg["seed"])
+            table = metrics_table(reports)
+            report_lines = [table, "fusion weights:"]
+            for name in sorted(lambdas):
+                lam = lambdas[name]
+                report_lines.append(f"  {name}: bm25={lam['bm25']:.2f} "
+                                    f"dense={lam['dense']:.2f} "
+                                    f"user={lam['user']:.2f}")
+            report_lines.append("")
+            report_lines.append("paired randomization test on per-query map@100:")
+            for key in sorted(pvals):
+                report_lines.append(f"  {key}: p = {pvals[key]:.6f}")
+            (out / "report.txt").write_text("\n".join(report_lines) + "\n",
+                                            encoding="utf-8")
+            (out / "metrics.json").write_text(json.dumps({
+                "systems": {r.name: r.means for r in reports},
+                "n_queries": {r.name: len(next(iter(r.per_query.values()), {}))
+                              for r in reports},
+                "skipped_empty_qrels": {r.name: r.skipped_empty for r in reports},
+                "significance": pvals,
+                "lambdas": lambdas,
+            }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         log.info("eval:\n%s", table)
 
     # -- ablation ----------------------------------------------------------------------------
@@ -803,93 +760,81 @@ class Pipeline:
     )
 
     def stage_ablate(self) -> None:
-        started = time.time()
-        self._require("score", "val_candidates.jsonl", "test_candidates.jsonl",
-                      hint="score")
-        corpus = self._load_corpus()
-        self._require("embed", "doc_embeddings.bin", hint="embed")
-        out = self._dir("ablate")
-        val_records = self._load_candidates("val", corpus)
-        test_records = self._load_candidates("test", corpus)
-        val_qrels = corpus_mod.load_qrels(self.workdir / "splits" / "val_qrels.txt")
-        test_qrels = corpus_mod.load_qrels(self.workdir / "splits" / "test_qrels.txt")
-        store = load_precomputed_embeddings(
-            self.workdir / "embed" / "doc_embeddings.bin", expect_count=len(corpus))
-        authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
-        cutoff = self._cutoff_year()
-        step = self.cfg["fusion"]["grid_step"]
-        train_view = corpus.view([i for i, d in enumerate(corpus.docs)
-                                  if d.year < cutoff])
+        with self._stage("ablate") as out:
+            val_candidates = self._input("score/val_candidates.jsonl")
+            test_candidates = self._input("score/test_candidates.jsonl")
+            corpus = self._load_corpus()
+            store = self._doc_embeddings(corpus)
+            val_records = _load_candidates(val_candidates, corpus)
+            test_records = _load_candidates(test_candidates, corpus)
+            val_qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
+            test_qrels = corpus_mod.load_qrels(self._input("splits/test_qrels.txt"))
+            authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
+            cutoff = self._cutoff_year()
+            step = self.cfg["fusion"]["grid_step"]
+            train_view = corpus.view([i for i, d in enumerate(corpus.docs)
+                                      if d.year < cutoff])
 
-        # Train (or reuse) every variant first, then compare them under one
-        # set of fusion weights tuned on the full configuration; re-tuning
-        # per variant would fold validation noise into the node-type effect.
-        main_kg = dataclasses.asdict(self._kg_config())
-        variants = []
-        for label, overrides in self.ABLATION_VARIANTS:
-            kg_config = self._kg_config(overrides)
-            variant_dir = out / label.replace("+", "plus_")
-            variant_dir.mkdir(parents=True, exist_ok=True)
-            catalog = build_catalog(corpus, authors, kg_config)
+            # Train (or reuse) every variant first, then compare them under one
+            # set of fusion weights tuned on the full configuration; re-tuning
+            # per variant would fold validation noise into the node-type effect.
+            main_kg = dataclasses.asdict(self._kg_config())
             config = self._kg_train_config()
-            main_dir = self.workdir / "kg_embed" / config.model
-            n_triples = None
-            if (dataclasses.asdict(kg_config) == main_kg
-                    and (main_dir / "entities.bin").exists()):
-                # identical to the fully configured model: reuse it
-                emb = load_kg_embeddings(main_dir / "entities.bin",
-                                         main_dir / "entities.manifest.txt",
-                                         catalog)
-            else:
-                triples = build_kg(train_view, authors, catalog, kg_config)
-                save_triples(triples, catalog, variant_dir / "triples.tsv")
-                emb = train_kg(triples, store, catalog, config)
-                save_kg_embeddings(emb, variant_dir / "entities.bin",
-                                   variant_dir / "entities.manifest.txt")
-                n_triples = len(triples)
-            variants.append((label, emb, n_triples))
+            main_model = self.workdir / "kg_embed" / config.model / "entities.bin"
+            variants = []
+            for label, overrides in self.ABLATION_VARIANTS:
+                kg_config = self._kg_config(overrides)
+                variant_dir = out / label.replace("+", "plus_")
+                variant_dir.mkdir(parents=True, exist_ok=True)
+                catalog = build_catalog(corpus, authors, kg_config)
+                n_triples = None
+                if dataclasses.asdict(kg_config) == main_kg and main_model.exists():
+                    # identical to the fully configured model: reuse it
+                    emb = self._load_kg_embeddings(config.model, catalog)
+                else:
+                    triples = build_kg(train_view, authors, catalog, kg_config)
+                    save_triples(triples, catalog, variant_dir / "triples.tsv")
+                    emb = train_kg(triples, store, catalog, config)
+                    save_kg_embeddings(emb, variant_dir / "entities.bin",
+                                       variant_dir / "entities.manifest.txt")
+                    n_triples = len(triples)
+                variants.append((label, emb, n_triples))
 
-        full_emb = variants[-1][1]
-        lists_val = self._candidate_lists(val_records, corpus, "kg",
-                                          {"kg_emb": full_emb})
-        lam, _ = tune_lambdas(lists_val, val_qrels, step)
-        rows = []
-        results = {"shared_lambdas": {"bm25": lam.bm25, "dense": lam.dense,
-                                      "user": lam.user}}
-        for label, emb, n_triples in variants:
-            rankings = {
-                cl.query_id: [d for d, _ in fuse(lam, cl)]
-                for cl in self._candidate_lists(test_records, corpus, "kg",
-                                                {"kg_emb": emb})}
-            report = evaluate_run(label, rankings, test_qrels)
-            rows.append((label, report.means))
-            results[label] = {"metrics": report.means, "triples": n_triples}
-            log.info("ablate %s: %s", label, report.means)
+            full_emb = variants[-1][1]
+            lists_val = self._candidate_lists(val_records, corpus, "kg",
+                                              {"kg_emb": full_emb})
+            lam, _ = tune_lambdas(lists_val, val_qrels, step)
+            rows = []
+            results = {"shared_lambdas": {"bm25": lam.bm25, "dense": lam.dense,
+                                          "user": lam.user}}
+            for label, emb, n_triples in variants:
+                rankings = {
+                    cl.query_id: [d for d, _ in fuse(lam, cl)]
+                    for cl in self._candidate_lists(test_records, corpus, "kg",
+                                                    {"kg_emb": emb})}
+                report = evaluate_run(label, rankings, test_qrels)
+                rows.append((label, report.means))
+                results[label] = {"metrics": report.means, "triples": n_triples}
+                log.info("ablate %s: %s", label, report.means)
 
-        lam_ref, _ = tune_lambdas(
-            self._candidate_lists(val_records, corpus, "none", {}),
-            val_qrels, step, fix_user_zero=True)
-        rankings = {cl.query_id: [d for d, _ in fuse(lam_ref, cl)]
-                    for cl in self._candidate_lists(test_records, corpus,
-                                                    "none", {})}
-        ref_report = evaluate_run("no-kg (two-stage)", rankings, test_qrels)
-        results["no-kg"] = {
-            "lambdas": {"bm25": lam_ref.bm25, "dense": lam_ref.dense,
-                        "user": lam_ref.user},
-            "metrics": ref_report.means,
-        }
-        table = ablation_report(rows, reference=(ref_report.name, ref_report.means))
-        (out / "ablation.txt").write_text(table, encoding="utf-8")
-        (out / "ablation.json").write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        self._write_manifest(
-            out, "ablate",
-            {"val": self.workdir / "score" / "val_candidates.jsonl",
-             "test": self.workdir / "score" / "test_candidates.jsonl",
-             "val_qrels": self.workdir / "splits" / "val_qrels.txt",
-             "test_qrels": self.workdir / "splits" / "test_qrels.txt",
-             "embeddings": self.workdir / "embed" / "doc_embeddings.bin"},
-            [out / "ablation.txt", out / "ablation.json"], started)
+            lam_ref, _ = tune_lambdas(
+                self._candidate_lists(val_records, corpus, "none", {}),
+                val_qrels, step, fix_user_zero=True)
+            rankings = {cl.query_id: [d for d, _ in fuse(lam_ref, cl)]
+                        for cl in self._candidate_lists(test_records, corpus,
+                                                        "none", {})}
+            ref_report = evaluate_run("no-kg (two-stage)", rankings, test_qrels)
+            results["no-kg"] = {
+                "lambdas": {"bm25": lam_ref.bm25, "dense": lam_ref.dense,
+                            "user": lam_ref.user},
+                "metrics": ref_report.means,
+            }
+            table = ablation_report(rows,
+                                    reference=(ref_report.name, ref_report.means))
+            (out / "ablation.txt").write_text(table, encoding="utf-8")
+            (out / "ablation.json").write_text(
+                json.dumps(results, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
         log.info("ablate:\n%s", table)
 
     # -- end to end ------------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from acadsearch.errors import ConfigError
-from acadsearch.kg_builder import RELATION_ORDER, RELATION_SIGNATURE, Triple
+from acadsearch.kg_builder import RELATION_ORDER, RELATION_SIGNATURE
 
 
 def naive_map_at_k(ranking, relevant, k=100):
@@ -256,28 +256,6 @@ def entity_vector(emb, kind, external_id):
     ordinal = emb.catalog.ordinal(kind, external_id)
     lo, hi = emb.frozen_range
     return emb.entities[ordinal].copy(), lo <= ordinal < hi
-
-
-def sample_negative(triple, catalog, triples, rng, max_attempts=100):
-    """Corrupt head or tail (p = 1/2 each) with a type-correct entity.
-
-    Resamples until the corrupted triple is absent from the known set
-    (closed-world assumption); returns None when no valid corruption is
-    found within ``max_attempts``.
-    """
-    head_kind, tail_kind = RELATION_SIGNATURE[triple.relation]
-    for _ in range(max_attempts):
-        corrupt_head = rng.random() < 0.5
-        kind = head_kind if corrupt_head else tail_kind
-        lo, hi = catalog.kind_range(kind)
-        if hi <= lo:
-            return None
-        cand = int(rng.integers(lo, hi))
-        corrupted = (Triple(cand, triple.relation, triple.tail) if corrupt_head
-                     else Triple(triple.head, triple.relation, cand))
-        if corrupted not in triples:
-            return corrupted
-    return None
 
 
 def heldout_split(triples, relation, n_heldout, seed):

@@ -9,7 +9,7 @@ from acadsearch.corpus.model import Author, Corpus, Document, Query
 from acadsearch.errors import DataFormatError
 from acadsearch.fusion_eval import read_run
 from acadsearch.kg_builder import EntityCatalog, EntityKind, load_triples
-from acadsearch.pipeline import Pipeline, merge_config
+from acadsearch.pipeline import _load_candidates
 
 
 def write_jsonl(path, records):
@@ -158,10 +158,8 @@ def test_corpus_lookup():
 
 
 def _candidates(path):
-    workdir = path.parent.parent
     corpus = Corpus([Document("d1", "t", "", [], None, 2010, [])])
-    return Pipeline(merge_config({"paths": {"workdir": str(workdir)}})
-                    )._load_candidates("val", corpus)
+    return _load_candidates(path, corpus)
 
 
 def _triples(path):

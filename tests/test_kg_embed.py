@@ -6,14 +6,16 @@ from acadsearch.dense_encoder import DocEmbeddingStore, HashedBowEncoder, embed_
 from acadsearch.errors import ConfigError, DataFormatError
 from acadsearch.kg_builder import (EntityCatalog, EntityKind, KGConfig,
                                    RelationType, Triple, build_catalog, build_kg)
-from acadsearch.kg_embed import (N_RELATIONS, KGEmbeddings, KGTrainConfig,
-                                 _kg_step, encode_triples, init_embeddings,
+from acadsearch.kg_embed import (_REL_INDEX, N_RELATIONS, KGEmbeddings,
+                                 KGTrainConfig, _corrupt_batch,
+                                 _corruption_ranges, _kg_step, encode_triples,
+                                 init_embeddings,
                                  load_kg_embeddings, save_kg_embeddings,
                                  train_kg, transh_constraint_grads)
 from acadsearch.optim import AdamW
 from oracles import (NaiveAdamW, central_difference, entity_vector,
                      heldout_split, link_prediction_mean_rank, naive_kg_step,
-                     relative_error, same_bits, sample_negative,
+                     relative_error, same_bits,
                      transe_pair_grads, transe_score, transh_pair_grads,
                      transh_project, transh_score, triple_score)
 
@@ -134,32 +136,45 @@ def tiny_kg():
     return corpus, catalog, triples, store
 
 
+def _corrupt(batch, known, catalog, rows, seed):
+    """``rows`` draws of the training sampler, cycling through ``batch``,
+    against the known triples ``known``; heads, tails, corruptions, valid."""
+    def arrays(triples):
+        return (np.asarray([t.head for t in triples], dtype=np.int64),
+                np.asarray([_REL_INDEX[t.relation] for t in triples],
+                           dtype=np.int64),
+                np.asarray([t.tail for t in triples], dtype=np.int64))
+    codes = np.sort(encode_triples(*arrays(known), catalog.total))
+    h, r, t = (a[np.arange(rows) % len(batch)] for a in arrays(batch))
+    nh, nt, valid = _corrupt_batch(np.random.default_rng(seed), h, r, t,
+                                   _corruption_ranges(catalog), catalog.total,
+                                   codes)
+    return h, r, t, nh, nt, valid, codes
+
+
 def test_sample_negative_type_and_cwa(tiny_kg):
     _, catalog, triples, _ = tiny_kg
-    triple_set = set(triples)
-    rng = np.random.default_rng(6)
     from acadsearch.kg_builder import RELATION_SIGNATURE
+    h, r, t, nh, nt, valid, codes = _corrupt(triples, triples, catalog, 4000, 6)
     # wrote/cited triples always have a valid corruption in this graph
-    candidates = [t for t in triples
-                  if t.relation in (RelationType.WROTE, RelationType.CITED)]
-    for triple in candidates:
-        for _ in range(10):
-            neg = sample_negative(triple, catalog, triple_set, rng)
-            assert neg is not None
-            assert neg not in triple_set
-            hk, tk = RELATION_SIGNATURE[neg.relation]
-            assert catalog.entity(neg.head)[0] == hk
-            assert catalog.entity(neg.tail)[0] == tk
+    easy = np.isin(r, [_REL_INDEX[RelationType.WROTE],
+                       _REL_INDEX[RelationType.CITED]])
+    assert valid[easy].all()
+    assert not np.isin(encode_triples(nh, r, nt, catalog.total)[valid], codes).any()
+    relations = {i: rel for rel, i in _REL_INDEX.items()}
+    for row in np.flatnonzero(valid):
+        hk, tk = RELATION_SIGNATURE[relations[r[row]]]
+        assert catalog.entity(int(nh[row]))[0] == hk
+        assert catalog.entity(int(nt[row]))[0] == tk
 
 
 def test_sample_negative_saturated_relation_fails(tiny_kg):
     # every user published in the only venue, so no corruption is valid
     _, catalog, triples, _ = tiny_kg
-    triple_set = set(triples)
-    rng = np.random.default_rng(16)
     in_venue = [t for t in triples if t.relation == RelationType.IN_VENUE]
     assert in_venue
-    assert sample_negative(in_venue[0], catalog, triple_set, rng) is None
+    *_, valid, _ = _corrupt(in_venue, triples, catalog, 50, 16)
+    assert not valid.any()
 
 
 def test_sample_negative_exhaustion():
@@ -167,27 +182,16 @@ def test_sample_negative_exhaustion():
     triple = Triple(catalog.ordinal(EntityKind.USER, "u1"),
                     RelationType.IN_VENUE,
                     catalog.ordinal(EntityKind.VENUE, "v1"))
-    rng = np.random.default_rng(7)
-    assert sample_negative(triple, catalog, {triple}, rng) is None
+    *_, valid, _ = _corrupt([triple], [triple], catalog, 5, 7)
+    assert not valid.any()
 
 
 def test_sample_negative_head_tail_balance(tiny_kg):
     _, catalog, triples, _ = tiny_kg
-    triple_set = set(triples)
     wrote = [t for t in triples if t.relation == RelationType.WROTE]
-    rng = np.random.default_rng(8)
-    heads = tails = 0
-    for _ in range(10000):
-        t = wrote[int(rng.integers(len(wrote)))]
-        neg = sample_negative(t, catalog, triple_set, rng)
-        if neg is None:
-            continue
-        if neg.head != t.head:
-            heads += 1
-        else:
-            tails += 1
-    frac = heads / (heads + tails)
-    assert abs(frac - 0.5) < 0.02
+    h, _, _, nh, _, valid, _ = _corrupt(wrote, triples, catalog, 10000, 8)
+    assert valid.sum() >= 9900
+    assert abs((nh != h)[valid].mean() - 0.5) < 0.02
 
 
 def test_zero_epoch_training_is_initialization(tiny_kg):

@@ -1,4 +1,7 @@
 import json
+import os
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from acadsearch.cli import main
 from acadsearch.errors import (ConfigError, MissingArtifactError,
                                StaleArtifactError)
-from acadsearch.pipeline import (DEFAULT_CONFIG, Pipeline, load_config,
+from acadsearch.pipeline import (DEFAULT_CONFIG, STAGES, Pipeline, load_config,
                                  merge_config, stage_config_hash)
 
 TINY = {
@@ -52,6 +55,27 @@ def test_config_merge_and_overrides(tmp_path):
     assert load_config(path)["bm25"]["k1"] == 1.2
 
 
+@pytest.mark.parametrize("content, sets, named", [
+    pytest.param(b'{"seed": 7\xff}', [], "cfg.json", id="not-utf8"),
+    pytest.param(b"[1, 2]", [], "cfg.json", id="not-an-object"),
+    pytest.param(b"{}", ["encoder=5"], "'encoder'", id="set-section-to-scalar"),
+    pytest.param(b'{"encoder": 5}', [], "'encoder'", id="file-section-to-scalar"),
+])
+def test_cli_bad_config_exit_1(tmp_path, capsys, content, sets, named):
+    """A config that cannot be read or replaces a section with a value exits
+    1 naming the file or the key."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    argv = ["--config", str(cfg_path), "--workdir", str(tmp_path / "w"), "--quiet"]
+    for item in sets:
+        argv += ["--set", item]
+    capsys.readouterr()
+    assert main(argv + ["train-dense"]) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
 def test_stage_config_hash_stability():
     cfg = merge_config(None)
     h1 = stage_config_hash(cfg, "synth")
@@ -87,6 +111,13 @@ def test_eval_without_score_errors(tmp_path):
         pipeline.stage_eval()
 
 
+def test_failed_stage_writes_no_manifest(tmp_path):
+    pipeline = Pipeline(tiny_cfg(tmp_path / "w"))
+    with pytest.raises(MissingArtifactError):
+        pipeline.stage_index()
+    assert not (tmp_path / "w" / "index" / "manifest.json").exists()
+
+
 def test_stale_artifact_detection(tiny_run, tmp_path):
     cfg, workdir = tiny_run
     changed = json.loads(json.dumps(cfg))
@@ -101,7 +132,8 @@ def test_stale_artifact_detection(tiny_run, tmp_path):
 
 
 def test_cli_edited_queries_make_score_stale(tiny_run, tmp_path, capsys):
-    """Every split file a query stage reads is hashed into its manifest."""
+    """Every split file a query stage reads, and no other, is hashed into
+    its manifest."""
     import shutil
     _, src_workdir = tiny_run
     workdir = tmp_path / "w"
@@ -120,11 +152,12 @@ def test_cli_edited_queries_make_score_stale(tiny_run, tmp_path, capsys):
     for stage in ("score", "tune", "eval", "ablate"):
         manifest = json.loads((workdir / stage / "manifest.json").read_text())
         split_inputs = {p for p in manifest["inputs"] if p.startswith("splits/")}
-        expected = {"score": {"splits/split.json", "splits/val_queries.jsonl",
+        expected = {"score": {"splits/val_queries.jsonl",
                               "splits/test_queries.jsonl"},
                     "tune": {"splits/val_qrels.txt"},
                     "eval": {"splits/test_qrels.txt"},
-                    "ablate": {"splits/val_qrels.txt", "splits/test_qrels.txt"}}
+                    "ablate": {"splits/split.json", "splits/val_qrels.txt",
+                               "splits/test_qrels.txt"}}
         assert split_inputs == expected[stage], stage
 
 
@@ -139,6 +172,97 @@ def _copy_of_tiny_run(tiny_run, tmp_path):
     overrides["paths"] = {"workdir": str(workdir)}
     cfg_path.write_text(json.dumps(overrides))
     return workdir, cfg_path
+
+
+def _retrain_kg_with_new_lr(workdir, cfg_path):
+    assert main(["--config", str(cfg_path), "--quiet",
+                 "--set", "kg_train.lr=0.01", "train-kg"]) == 0
+
+
+def _truncate_train_queries(workdir, cfg_path):
+    path = workdir / "splits" / "train_queries.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:len(lines) // 2]))
+
+
+def _move_first_author(workdir, cfg_path):
+    path = workdir / "corpus" / "authors.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    other = next(r["affiliation_id"] for r in records
+                 if r["affiliation_id"] != records[0]["affiliation_id"])
+    records[0]["affiliation_id"] = other
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.mark.parametrize("edit, sets, stage, rerun", [
+    pytest.param(_retrain_kg_with_new_lr, ["kg_train.lr=0.01"], "eval", "tune",
+                 id="kg-retrained"),
+    pytest.param(_truncate_train_queries, [], "embed", "train-dense",
+                 id="train-queries-truncated"),
+    pytest.param(_move_first_author, [], "train-kg", "build-kg",
+                 id="authors-edited"),
+])
+def test_cli_edited_upstream_makes_stage_stale(tiny_run, tmp_path, capsys, edit,
+                                               sets, stage, rerun):
+    """A stage refuses to run when a file an upstream stage read has changed
+    since, and names the stage to re-run."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    edit(workdir, cfg_path)
+    capsys.readouterr()
+    argv = ["--config", str(cfg_path), "--quiet"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv + [stage]) == 2
+    assert f"re-run `{rerun}`" in capsys.readouterr().err
+
+
+_RECORDING: list[tuple[str, set[str]]] = []
+
+
+def _record_reads(event, args):
+    """Audit hook: workdir-relative paths opened for reading while a test
+    records, except the hashing of manifest inputs."""
+    if not _RECORDING or event != "open" or not isinstance(args[0], str):
+        return
+    root, opened = _RECORDING[-1]
+    path, _, flags = args
+    if not path.startswith(root) or flags & (os.O_WRONLY | os.O_RDWR):
+        return
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code.co_name == "_hash_file":
+            return
+        frame = frame.f_back
+    opened.add(path[len(root):])
+
+
+def test_manifest_inputs_are_the_files_each_stage_opens(tiny_run, tmp_path):
+    """Every workdir file a stage opens, other than a stage manifest, is
+    listed in that stage's manifest inputs, and nothing else is."""
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    calls = [(name, {}) for name in STAGES if name != "ingest"]
+    calls += [(name, {"user_channel": channel})
+              for channel in ("mean", "attention", "selfcite", "pagerank", "pop")
+              for name in ("tune", "eval")]
+    sys.addaudithook(_record_reads)   # stays for the process; idle unless recording
+    for name, fusion in calls:
+        changed = json.loads(json.dumps(cfg))
+        changed["paths"]["workdir"] = str(workdir)
+        changed["fusion"].update(fusion)
+        pipeline = Pipeline(changed, force=True)
+        opened: set[str] = set()
+        _RECORDING.append((str(workdir) + os.sep, opened))
+        try:
+            getattr(pipeline, "stage_" + name.replace("-", "_"))()
+        finally:
+            _RECORDING.clear()
+        subdir = STAGES[name][0] + ("/transh" if name == "train-kg" else "")
+        manifest = json.loads((workdir / subdir / "manifest.json").read_text())
+        reads = {p for p in opened if not p.endswith("/manifest.json")}
+        assert reads == set(manifest["inputs"]), (name, fusion)
+        assert reads or name == "synth", name
 
 
 @pytest.mark.parametrize("artifact", ["dense/manifest.json", "dense/encoder.bin",
@@ -328,6 +452,24 @@ def test_cli_exit_codes(tmp_path):
     # success -> 0
     assert main(["--config", str(cfg_path), "--quiet", "synth"]) == 0
     assert main(["--config", str(cfg_path), "--quiet", "index"]) == 0
+
+
+def test_cli_splits_is_a_stage_of_its_own(tmp_path, capsys):
+    """Stages that read the splits do not build them; `splits` does."""
+    workdir = tmp_path / "w"
+    cfg_path = tmp_path / "cfg.json"
+    overrides = json.loads(json.dumps(TINY))
+    overrides["paths"] = {"workdir": str(workdir)}
+    cfg_path.write_text(json.dumps(overrides))
+    argv = ["--config", str(cfg_path), "--quiet"]
+    assert main(argv + ["synth"]) == 0
+    assert main(argv + ["index"]) == 0
+    capsys.readouterr()
+    for stage in ("train-dense", "build-kg"):
+        assert main(argv + [stage]) == 2
+        assert "run `splits` first" in capsys.readouterr().err
+    assert main(argv + ["splits"]) == 0
+    assert (workdir / "splits" / "split.json").exists()
 
 
 def test_threads_option_is_gone(tmp_path, capsys):
