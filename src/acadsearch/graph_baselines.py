@@ -18,28 +18,21 @@ class CitationGraph:
 
     def __init__(self, ordinals: list[int], edges: list[tuple[int, int]]):
         self.ordinals = np.asarray(sorted(ordinals), dtype=np.int64)
-        self._index = {int(o): i for i, o in enumerate(self.ordinals)}
+        index = {int(o): i for i, o in enumerate(self.ordinals)}
         self.n = len(self.ordinals)
         src = []
         dst = []
         for a, b in edges:
             if a == b:
                 raise DataFormatError(f"self-loop on ordinal {a}")
-            if a not in self._index or b not in self._index:
+            if a not in index or b not in index:
                 raise DataFormatError(f"edge ({a}, {b}) references an ordinal "
                                       f"outside the graph")
-            src.append(self._index[a])
-            dst.append(self._index[b])
+            src.append(index[a])
+            dst.append(index[b])
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
         self.out_degree = np.bincount(self.src, minlength=self.n)
-        self.in_degree = np.bincount(self.dst, minlength=self.n)
-
-    def has(self, ordinal: int) -> bool:
-        return ordinal in self._index
-
-    def node_index(self, ordinal: int) -> int:
-        return self._index[ordinal]
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, cutoff_year: int | None = None
@@ -82,7 +75,13 @@ def pagerank(graph: CitationGraph, alpha: float = 0.85, tol: float = 1e-8,
     return x
 
 
-def pagerank_by_ordinal(graph: CitationGraph, alpha: float = 0.85,
-                        tol: float = 1e-8, max_iter: int = 100) -> dict[int, float]:
-    scores = pagerank(graph, alpha=alpha, tol=tol, max_iter=max_iter)
-    return {int(o): float(s) for o, s in zip(graph.ordinals, scores)}
+def pagerank_by_ordinal(graph: CitationGraph, n_docs: int) -> np.ndarray:
+    """PageRank per document ordinal below ``n_docs``; 0.0 outside the graph."""
+    out = np.zeros(n_docs)
+    out[graph.ordinals] = pagerank(graph)
+    return out
+
+
+def popularity_by_ordinal(graph: CitationGraph, n_docs: int) -> np.ndarray:
+    """In-graph citation count per document ordinal below ``n_docs``."""
+    return np.bincount(graph.ordinals[graph.dst], minlength=n_docs).astype(float)

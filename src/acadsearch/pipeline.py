@@ -29,16 +29,16 @@ from .errors import (ConfigError, DataFormatError, MissingArtifactError,
 from .fusion_eval import (CandidateList, Lambdas, MetricReport, ablation_report,
                           evaluate_run, fuse, metrics_table, run_from_rankings,
                           significance_test, tune_lambdas, write_run)
-from .graph_baselines import CitationGraph, pagerank_by_ordinal
-from .kg_builder import (KGConfig, build_catalog, build_kg, kg_stats,
-                         load_triples, save_triples)
-from .kg_embed import (KGTrainConfig, load_kg_embeddings, save_kg_embeddings,
-                       train_kg)
+from .graph_baselines import (CitationGraph, pagerank_by_ordinal,
+                              popularity_by_ordinal)
+from .kg_builder import (EntityCatalog, KGConfig, build_catalog, build_kg,
+                         kg_stats, load_triples, save_triples)
+from .kg_embed import (KGEmbeddings, KGTrainConfig, load_kg_embeddings,
+                       save_kg_embeddings, train_kg)
 from .lexical_index import (BM25Params, build_index, load_index, retrieve_topk,
                             save_index, tokenize)
-from .user_models import (AggregationMode, attention_user_score,
-                          build_user_contexts, kg_user_scores, mean_user_vector,
-                          self_citation_score)
+from .user_models import (KG_METRICS, USER_CHANNELS, AggregationMode,
+                          ChannelInputs, build_user_contexts, user_column)
 
 log = logging.getLogger(__name__)
 
@@ -100,8 +100,6 @@ STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
 
 # a manifest of any other version lists an incomplete set of inputs
 MANIFEST_VERSION = 2
-
-USER_CHANNELS = ("kg", "mean", "attention", "selfcite", "pagerank", "pop", "none")
 
 
 def _merge(dst: dict, src: dict, prefix: str = "") -> None:
@@ -178,11 +176,11 @@ def stage_config_hash(cfg: dict, stage: str) -> str:
     return _hash_bytes(json.dumps(sections, sort_keys=True).encode())
 
 
-def _check_candidates(record, known_doc_ids: set[str]) -> dict:
-    """``record`` with its bm25 and dense lists as float arrays.
+def _check_candidates(record, corpus) -> dict:
+    """``record`` with bm25 and dense as float arrays, plus doc id ``ordinals``.
 
     Raises ValueError or TypeError unless the record holds every field the
-    fusion stages read: distinct known doc ids and one finite score per id.
+    fusion stages read: distinct corpus doc ids and one finite score per id.
     """
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
@@ -195,10 +193,12 @@ def _check_candidates(record, known_doc_ids: set[str]) -> dict:
     if record["user_id"] is not None and not isinstance(record["user_id"], str):
         raise ValueError("user_id must be a string or null")
     doc_ids = record["doc_ids"]
-    if (not isinstance(doc_ids, list) or not doc_ids
-            or len(set(doc_ids)) != len(doc_ids)
-            or not known_doc_ids.issuperset(doc_ids)):
+    ordinals = ([corpus.ordinal(d) for d in doc_ids if d in corpus]
+                if isinstance(doc_ids, list) else [])
+    if (not ordinals or len(ordinals) != len(doc_ids)
+            or len(set(ordinals)) != len(ordinals)):
         raise ValueError("doc_ids must be distinct corpus doc ids, at least one")
+    record["ordinals"] = ordinals
     for channel in ("bm25", "dense"):
         scores = np.asarray(record[channel], dtype=np.float64)
         if scores.shape != (len(doc_ids),) or not np.isfinite(scores).all():
@@ -209,13 +209,12 @@ def _check_candidates(record, known_doc_ids: set[str]) -> dict:
 
 def _load_candidates(path: Path, corpus) -> list[dict]:
     """The candidate records ``score`` wrote, each checked by _check_candidates."""
-    known = {d.doc_id for d in corpus.docs}
     records = []
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
-            records.append(_check_candidates(json.loads(line), known))
+            records.append(_check_candidates(json.loads(line), corpus))
         except (TypeError, ValueError) as exc:   # ValueError: also bad JSON
             raise DataFormatError(f"{path}: bad candidate record on line "
                                   f"{lineno}: {exc}") from None
@@ -239,6 +238,12 @@ class Pipeline:
         # only perfbench/workloads.py passes it; the next benchmark change deletes it
         if threads != 1:
             raise ConfigError(f"threads must be 1, got {threads!r}")
+        for key, choices in (("user_channel", USER_CHANNELS),
+                             ("aggregation", [m.value for m in AggregationMode]),
+                             ("user_metric", KG_METRICS)):
+            if (value := cfg["fusion"][key]) not in choices:
+                raise ConfigError(f"fusion.{key} must be one of "
+                                  f"{', '.join(choices)}; got {value!r}")
         self.cfg = cfg
         self.force = force
         self.workdir = Path(cfg["paths"]["workdir"])
@@ -260,6 +265,7 @@ class Pipeline:
         # one hash per file per stage call, shared by upstream checks and
         # this stage's own manifest
         self._digests: dict[str, str] = {}
+        self._catalog: EntityCatalog | None = None
         yield out
         manifest = {
             "stage": name,
@@ -496,16 +502,22 @@ class Pipeline:
     def stage_build_kg(self) -> None:
         with self._stage("build-kg") as out:
             corpus = self._load_corpus()
-            kg_config = self._kg_config()
-            authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
-            catalog = build_catalog(corpus, authors, kg_config)
+            catalog = self._kg_catalog(corpus)
             cutoff = self._cutoff_year()
             train_view = corpus.view([i for i, d in enumerate(corpus.docs)
                                       if d.year < cutoff])
-            triples = build_kg(train_view, authors, catalog, kg_config)
+            triples = build_kg(train_view, list(corpus.authors.values()),
+                               catalog, self._kg_config())
             save_triples(triples, catalog, out / "triples.tsv")
             (out / "stats.txt").write_text(kg_stats(triples, catalog), encoding="utf-8")
         log.info("build-kg: %d triples", len(triples))
+
+    def _kg_catalog(self, corpus) -> EntityCatalog:
+        """The configured KG's entity catalog, built once per stage call."""
+        if self._catalog is None:
+            self._catalog = build_catalog(
+                corpus, list(corpus.authors.values()), self._kg_config())
+        return self._catalog
 
     def _kg_train_config(self, model: str | None = None) -> KGTrainConfig:
         kcfg = dict(self.cfg["kg_train"])
@@ -517,8 +529,7 @@ class Pipeline:
         config = self._kg_train_config(model)
         with self._stage("train-kg", config.model) as out:
             corpus = self._load_corpus()
-            authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
-            catalog = build_catalog(corpus, authors, self._kg_config())
+            catalog = self._kg_catalog(corpus)
             triples = load_triples(self._input("kg/triples.tsv"), catalog)
             store = self._doc_embeddings(corpus)
             emb = train_kg(triples, store, catalog, config)
@@ -570,83 +581,41 @@ class Pipeline:
 
     # -- user channels ------------------------------------------------------------------
 
-    def _user_column(self, channel: str, record: dict, corpus,
-                     resources: dict) -> list[float]:
-        """Raw user-channel scores for one query's candidates."""
-        doc_ids = record["doc_ids"]
-        if channel == "none":
-            return [0.0] * len(doc_ids)
-        if channel == "kg":
-            column, known = kg_user_scores(
-                resources["kg_emb"], record["user_id"],
-                [corpus.get(d).author_ids for d in doc_ids],
-                AggregationMode(self.cfg["fusion"]["aggregation"]),
-                metric=self.cfg["fusion"]["user_metric"])
-            if not known:
-                return column
-            present = [s for s in column if s is not None]
-            floor = min(present) if present else 0.0
-            return [floor if s is None else s for s in column]
-        contexts = resources.get("contexts", {})
-        ctx = contexts.get(record["user_id"])
-        if channel == "selfcite":
-            return [self_citation_score(ctx, corpus.get(d).author_ids)
-                    for d in doc_ids]
-        if channel == "pagerank":
-            pr = resources["pagerank"]
-            return [pr.get(corpus.ordinal(d), 0.0) for d in doc_ids]
-        if channel == "pop":
-            graph = resources["graph"]
-            return [float(graph.in_degree[graph.node_index(corpus.ordinal(d))])
-                    if graph.has(corpus.ordinal(d)) else 0.0 for d in doc_ids]
-        store = resources["store"]
-        if ctx is None:
-            return [0.0] * len(doc_ids)
-        if channel == "mean":
-            mv = mean_user_vector(store, ctx)
-            if mv is None:
-                return [0.0] * len(doc_ids)
-            return [float(np.dot(mv, store.row(corpus.ordinal(d))))
-                    for d in doc_ids]
-        if channel == "attention":
-            q_vec = resources["encoder"].encode(record["text"])
-            return attention_user_score(q_vec, ctx, store,
-                                        [corpus.ordinal(d) for d in doc_ids])
-        raise ConfigError(f"unknown user channel {channel!r}")
-
-    def _channel_resources(self, corpus, channel: str,
-                           kg_model: str | None = None) -> dict:
-        resources: dict = {}
-        if channel == "kg":
-            authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
-            catalog = build_catalog(corpus, authors, self._kg_config())
-            resources["kg_emb"] = self._load_kg_embeddings(
-                kg_model or self.cfg["kg_train"]["model"], catalog)
+    def _candidate_lists(self, records: list[dict], corpus, channel: str,
+                         kg_model: str | None = None,
+                         kg_emb: KGEmbeddings | None = None
+                         ) -> list[CandidateList]:
+        """Each record's bm25, dense and ``channel`` user scores, loading what
+        the channel reads; ``kg_emb`` stands in for stored ``kg_model``."""
+        fusion = self.cfg["fusion"]
+        inputs = ChannelInputs(corpus, AggregationMode(fusion["aggregation"]),
+                               fusion["user_metric"], kg=kg_emb)
+        if channel == "kg" and kg_emb is None:
+            inputs.kg = self._load_kg_embeddings(kg_model,
+                                                 self._kg_catalog(corpus))
         elif channel in ("mean", "attention", "selfcite"):
-            resources["contexts"] = build_user_contexts(corpus, self._cutoff_year())
-            if channel in ("mean", "attention"):
-                resources["store"] = self._doc_embeddings(corpus)
+            inputs.contexts = build_user_contexts(corpus, self._cutoff_year())
+            if channel != "selfcite":
+                inputs.store = self._doc_embeddings(corpus)
             if channel == "attention":
-                resources["encoder"] = HashedBowEncoder.load(
+                inputs.encoder = HashedBowEncoder.load(
                     self._input("dense/encoder.bin"))
         elif channel in ("pagerank", "pop"):
             graph = CitationGraph.from_corpus(corpus, self._cutoff_year())
-            resources["graph"] = graph
-            if channel == "pagerank":
-                resources["pagerank"] = pagerank_by_ordinal(graph)
-        return resources
-
-    def _candidate_lists(self, records: list[dict], corpus, channel: str,
-                         resources: dict) -> list[CandidateList]:
-        lists = []
-        for record in records:
-            user = self._user_column(channel, record, corpus, resources)
-            scores = np.column_stack([record["bm25"], record["dense"], user])
-            lists.append(CandidateList(record["query_id"], record["doc_ids"],
-                                       scores))
-        return lists
+            by_ordinal = (pagerank_by_ordinal if channel == "pagerank"
+                          else popularity_by_ordinal)
+            inputs.by_ordinal = by_ordinal(graph, len(corpus))
+        return [CandidateList(r["query_id"], r["doc_ids"], np.column_stack(
+                    [r["bm25"], r["dense"], user_column(channel, inputs, r)]))
+                for r in records]
 
     # -- tuning and evaluation -------------------------------------------------------------
+
+    def _with_transe(self) -> bool:
+        """Whether TransE is trained and evaluated beside the configured KG."""
+        return (self.cfg["fusion"]["user_channel"] == "kg"
+                and self.cfg["fusion"]["include_transe"]
+                and self.cfg["kg_train"]["model"] != "transe")
 
     def _systems(self) -> list[tuple[str, str, str | None]]:
         """(system name, user channel, kg model) to tune and evaluate."""
@@ -655,9 +624,7 @@ class Pipeline:
         if channel == "kg":
             main = self.cfg["kg_train"]["model"]
             systems.append((f"fused_{main}", "kg", main))
-            if (self.cfg["fusion"]["include_transe"] and main != "transe"
-                    and (self.workdir / "kg_embed" / "transe"
-                         / "entities.bin").exists()):
+            if self._with_transe():
                 systems.append(("fused_transe", "kg", "transe"))
         elif channel != "none":
             systems.append((f"fused_{channel}", channel, None))
@@ -672,12 +639,10 @@ class Pipeline:
             step = self.cfg["fusion"]["grid_step"]
             lambdas: dict[str, dict] = {}
             for name, channel, kg_model in self._systems():
-                resources = self._channel_resources(corpus, channel, kg_model)
-                lists = self._candidate_lists(records, corpus, channel, resources)
-                lam, grid_text = tune_lambdas(lists, qrels, step,
-                                              fix_user_zero=(channel == "none"))
-                lambdas[name] = {"bm25": lam.bm25, "dense": lam.dense,
-                                 "user": lam.user}
+                lam, grid_text = tune_lambdas(
+                    self._candidate_lists(records, corpus, channel, kg_model),
+                    qrels, step, fix_user_zero=(channel == "none"))
+                lambdas[name] = dataclasses.asdict(lam)
                 (out / f"grid_{name}.txt").write_text(grid_text, encoding="utf-8")
                 log.info("tune %s: %s", name, lambdas[name])
             (out / "lambdas.json").write_text(
@@ -706,28 +671,22 @@ class Pipeline:
                 systems.append((name, channel, kg_model, tuned[name]))
             reports: list[MetricReport] = []
             for name, channel, kg_model, lam in systems:
-                resources = self._channel_resources(corpus, channel, kg_model)
-                fused_scores = {}
-                for cl in self._candidate_lists(records, corpus, channel,
-                                                resources):
-                    fused_scores[cl.query_id] = fuse(lam, cl)
-                run = run_from_rankings(name, fused_scores)
+                run = run_from_rankings(name, {
+                    cl.query_id: fuse(lam, cl) for cl in
+                    self._candidate_lists(records, corpus, channel, kg_model)})
                 write_run(run, out / f"run_{name}.txt")
                 reports.append(evaluate_run(name, run.ranking_ids(), qrels))
             pvals = {}
             by_name = {r.name: r for r in reports}
-            pairs = [("two_stage", "bm25")]
-            pairs += [(name, "two_stage") for name, _, _ in self._systems()
-                      if name != "two_stage"]
-            for a, b in pairs:
-                if a in by_name and b in by_name:
-                    qa = by_name[a].per_query["map@100"]
-                    qb = by_name[b].per_query["map@100"]
-                    shared = sorted(set(qa) & set(qb))
-                    pvals[f"{a}_vs_{b}"] = significance_test(
-                        [qa[q] for q in shared], [qb[q] for q in shared],
-                        permutations=self.cfg["eval"]["permutations"],
-                        seed=self.cfg["seed"])
+            for a, *_ in systems[1:]:
+                b = "bm25" if a == "two_stage" else "two_stage"
+                qa = by_name[a].per_query["map@100"]
+                qb = by_name[b].per_query["map@100"]
+                shared = sorted(set(qa) & set(qb))
+                pvals[f"{a}_vs_{b}"] = significance_test(
+                    [qa[q] for q in shared], [qb[q] for q in shared],
+                    permutations=self.cfg["eval"]["permutations"],
+                    seed=self.cfg["seed"])
             table = metrics_table(reports)
             report_lines = [table, "fusion weights:"]
             for name in sorted(lambdas):
@@ -769,7 +728,7 @@ class Pipeline:
             test_records = _load_candidates(test_candidates, corpus)
             val_qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
             test_qrels = corpus_mod.load_qrels(self._input("splits/test_qrels.txt"))
-            authors = sorted(corpus.authors.values(), key=lambda a: a.author_id)
+            authors = list(corpus.authors.values())
             cutoff = self._cutoff_year()
             step = self.cfg["fusion"]["grid_step"]
             train_view = corpus.view([i for i, d in enumerate(corpus.docs)
@@ -800,35 +759,29 @@ class Pipeline:
                     n_triples = len(triples)
                 variants.append((label, emb, n_triples))
 
-            full_emb = variants[-1][1]
-            lists_val = self._candidate_lists(val_records, corpus, "kg",
-                                              {"kg_emb": full_emb})
-            lam, _ = tune_lambdas(lists_val, val_qrels, step)
+            lam, _ = tune_lambdas(self._candidate_lists(
+                val_records, corpus, "kg", kg_emb=variants[-1][1]), val_qrels, step)
             rows = []
-            results = {"shared_lambdas": {"bm25": lam.bm25, "dense": lam.dense,
-                                          "user": lam.user}}
+            results = {"shared_lambdas": dataclasses.asdict(lam)}
             for label, emb, n_triples in variants:
                 rankings = {
                     cl.query_id: [d for d, _ in fuse(lam, cl)]
                     for cl in self._candidate_lists(test_records, corpus, "kg",
-                                                    {"kg_emb": emb})}
+                                                    kg_emb=emb)}
                 report = evaluate_run(label, rankings, test_qrels)
                 rows.append((label, report.means))
                 results[label] = {"metrics": report.means, "triples": n_triples}
                 log.info("ablate %s: %s", label, report.means)
 
             lam_ref, _ = tune_lambdas(
-                self._candidate_lists(val_records, corpus, "none", {}),
+                self._candidate_lists(val_records, corpus, "none"),
                 val_qrels, step, fix_user_zero=True)
             rankings = {cl.query_id: [d for d, _ in fuse(lam_ref, cl)]
                         for cl in self._candidate_lists(test_records, corpus,
-                                                        "none", {})}
+                                                        "none")}
             ref_report = evaluate_run("no-kg (two-stage)", rankings, test_qrels)
-            results["no-kg"] = {
-                "lambdas": {"bm25": lam_ref.bm25, "dense": lam_ref.dense,
-                            "user": lam_ref.user},
-                "metrics": ref_report.means,
-            }
+            results["no-kg"] = {"lambdas": dataclasses.asdict(lam_ref),
+                                "metrics": ref_report.means}
             table = ablation_report(rows,
                                     reference=(ref_report.name, ref_report.means))
             (out / "ablation.txt").write_text(table, encoding="utf-8")
@@ -850,9 +803,7 @@ class Pipeline:
         self.stage_embed()
         self.stage_build_kg()
         self.stage_train_kg()
-        if (self.cfg["fusion"]["user_channel"] == "kg"
-                and self.cfg["fusion"]["include_transe"]
-                and self.cfg["kg_train"]["model"] != "transe"):
+        if self._with_transe():
             self.stage_train_kg(model="transe")
         self.stage_score()
         self.stage_tune()

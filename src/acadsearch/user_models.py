@@ -1,21 +1,25 @@
 """User scoring: KG-embedding similarity plus the classic user-model baselines.
 
-All scorers return cosine-style values in [-1, 1] (self-citation is binary).
-Candidates whose authors are unknown receive the per-query minimum so that
-min-max normalization maps them to zero; an unknown query user makes the
-whole channel constant, which fusion then ignores.
+:func:`user_column` scores a query's candidates under each of USER_CHANNELS.
+KG candidates whose authors are unknown receive the per-query minimum so
+that min-max normalization maps them to zero; an unknown query user makes
+the whole channel constant, which fusion then ignores.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .corpus.model import Corpus
-from .dense_encoder import DocEmbeddingStore
+from .dense_encoder import DocEmbeddingStore, HashedBowEncoder
 from .kg_builder import EntityKind
 from .kg_embed import KGEmbeddings
+
+USER_CHANNELS = ("kg", "mean", "attention", "selfcite", "pagerank", "pop", "none")
+
+KG_METRICS = ("cosine", "neg_l2")
 
 
 class AggregationMode(str, Enum):
@@ -57,7 +61,7 @@ def kg_user_scores(embeddings: KGEmbeddings, query_user_id: str,
     negative euclidean distance as the alternative. Each author is scored
     once per query.
     """
-    if metric not in ("cosine", "neg_l2"):
+    if metric not in KG_METRICS:
         raise ValueError(f"unknown user-score metric {metric!r}")
     catalog = embeddings.catalog
     if (EntityKind.USER, query_user_id) not in catalog:
@@ -144,10 +148,54 @@ def attention_weights(q_vec: np.ndarray, context: UserContext,
     return exp / exp.sum()
 
 
-def self_citation_score(context: UserContext | None,
-                        candidate_author_ids: list[str]) -> float:
-    """1.0 iff the candidate shares an author with the user or a co-author."""
-    if context is None:
-        return 0.0
-    boost_set = {context.user_id} | set(context.coauthors)
-    return 1.0 if boost_set.intersection(candidate_author_ids) else 0.0
+def self_citation_score(context: UserContext,
+                        candidates_author_ids: list[list[str]]) -> np.ndarray:
+    """1.0 for each candidate sharing an author with the user or a co-author."""
+    boost_set = {context.user_id} | context.coauthors
+    return np.array([1.0 if boost_set.intersection(author_ids) else 0.0
+                     for author_ids in candidates_author_ids])
+
+
+@dataclass
+class ChannelInputs:
+    """What the channels read: ``kg`` reads kg, mode and metric; ``mean``
+    and ``attention`` contexts and store (attention also encoder);
+    ``selfcite`` contexts; ``pagerank`` and ``pop`` by_ordinal."""
+    corpus: Corpus                  # the candidates' authors
+    mode: AggregationMode
+    metric: str
+    kg: KGEmbeddings | None = None
+    contexts: dict[str, UserContext] = field(default_factory=dict)
+    store: DocEmbeddingStore | None = None
+    encoder: HashedBowEncoder | None = None
+    by_ordinal: np.ndarray | None = None   # one value per document ordinal
+
+
+def user_column(channel: str, inputs: ChannelInputs, record: dict) -> np.ndarray:
+    """The ``channel`` score of each candidate in a candidate record, which
+    holds the query's ``user_id`` and ``text`` and the candidates' corpus
+    ``ordinals``. Under ``mean``, ``attention`` and ``selfcite`` a user
+    without pre-cutoff papers is unknown."""
+    if channel not in USER_CHANNELS:
+        raise ValueError(f"unknown user channel {channel!r}")
+    ordinals = record["ordinals"]
+    if channel in ("pagerank", "pop"):
+        return inputs.by_ordinal[ordinals]
+    context = inputs.contexts.get(record["user_id"])
+    if channel == "none" or (context is None and channel != "kg"):
+        return np.zeros(len(ordinals))
+    store = inputs.store
+    if channel == "mean":
+        mean = mean_user_vector(store, context)
+        return np.zeros(len(ordinals)) if mean is None else np.array(
+            [float(np.dot(mean, store.row(o))) for o in ordinals])
+    if channel == "attention":
+        q_vec = inputs.encoder.encode(record["text"])
+        return np.array(attention_user_score(q_vec, context, store, ordinals))
+    authors = [inputs.corpus.docs[o].author_ids for o in ordinals]
+    if channel == "selfcite":
+        return self_citation_score(context, authors)
+    scores, _ = kg_user_scores(inputs.kg, record["user_id"], authors,
+                               inputs.mode, inputs.metric)
+    floor = min((s for s in scores if s is not None), default=0.0)
+    return np.array([floor if s is None else s for s in scores])

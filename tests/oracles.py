@@ -9,6 +9,8 @@ import numpy as np
 
 from acadsearch.errors import ConfigError
 from acadsearch.kg_builder import RELATION_ORDER, RELATION_SIGNATURE
+from acadsearch.user_models import (AggregationMode, attention_user_score,
+                                    kg_user_scores, mean_user_vector)
 
 
 def naive_map_at_k(ranking, relevant, k=100):
@@ -371,6 +373,57 @@ def naive_kg_user_score(vectors, query_user_id, candidate_author_ids,
     if not sims:
         return None, True
     return (max(sims) if use_max else float(np.mean(sims))), True
+
+
+def frozen_user_column(channel, record, corpus, resources, aggregation="max",
+                       metric="cosine"):
+    """The pipeline's per-candidate user column before channels scored whole
+    lists by ordinal, with the graph lookups and the per-candidate
+    self-citation rule it called written out."""
+    doc_ids = record["doc_ids"]
+    if channel == "none":
+        return [0.0] * len(doc_ids)
+    if channel == "kg":
+        column, known = kg_user_scores(
+            resources["kg_emb"], record["user_id"],
+            [corpus.get(d).author_ids for d in doc_ids],
+            AggregationMode(aggregation), metric=metric)
+        if not known:
+            return column
+        present = [s for s in column if s is not None]
+        floor = min(present) if present else 0.0
+        return [floor if s is None else s for s in column]
+    contexts = resources.get("contexts", {})
+    ctx = contexts.get(record["user_id"])
+    if channel == "selfcite":
+        if ctx is None:
+            return [0.0] * len(doc_ids)
+        boost_set = {ctx.user_id} | set(ctx.coauthors)
+        return [1.0 if boost_set.intersection(corpus.get(d).author_ids) else 0.0
+                for d in doc_ids]
+    if channel == "pagerank":
+        pr = resources["pagerank"]
+        return [pr.get(corpus.ordinal(d), 0.0) for d in doc_ids]
+    if channel == "pop":
+        graph = resources["graph"]
+        node = {int(o): i for i, o in enumerate(graph.ordinals)}
+        in_degree = np.bincount(graph.dst, minlength=graph.n)
+        return [float(in_degree[node[corpus.ordinal(d)]])
+                if corpus.ordinal(d) in node else 0.0 for d in doc_ids]
+    store = resources["store"]
+    if ctx is None:
+        return [0.0] * len(doc_ids)
+    if channel == "mean":
+        mv = mean_user_vector(store, ctx)
+        if mv is None:
+            return [0.0] * len(doc_ids)
+        return [float(np.dot(mv, store.row(corpus.ordinal(d))))
+                for d in doc_ids]
+    if channel == "attention":
+        q_vec = resources["encoder"].encode(record["text"])
+        return attention_user_score(q_vec, ctx, store,
+                                    [corpus.ordinal(d) for d in doc_ids])
+    raise ValueError(f"unknown user channel {channel!r}")
 
 
 # --- unblocked forms of the training steps ----------------------------------------

@@ -14,8 +14,8 @@ import pytest
 from acadsearch.corpus import (SynthConfig, generate_synthetic, load_corpus,
                                load_qrels, make_query)
 from acadsearch.dense_encoder import load_precomputed_embeddings
-from acadsearch.fusion_eval import (CandidateList, Lambdas, fuse, lambda_grid,
-                                    map_at_k, mrr_at_k, ndcg_at_k)
+from acadsearch.fusion_eval import (Lambdas, fuse, lambda_grid, map_at_k,
+                                    mrr_at_k, ndcg_at_k)
 from acadsearch.graph_baselines import CitationGraph, pagerank
 from acadsearch.kg_builder import (KGConfig, RelationType, build_catalog,
                                    load_triples)
@@ -23,7 +23,7 @@ from acadsearch.kg_embed import (KGTrainConfig, encode_triples, init_embeddings,
                                  load_kg_embeddings, train_kg)
 from acadsearch.lexical_index import (BM25Params, build_index, retrieve_topk,
                                       tokenize)
-from acadsearch.pipeline import Pipeline, merge_config
+from acadsearch.pipeline import Pipeline, _load_candidates, merge_config
 from oracles import (central_difference, heldout_split,
                      link_prediction_mean_rank, naive_bm25_score, naive_map_at_k,
                      naive_mrr_at_k, naive_ndcg_at_k, reference_pagerank,
@@ -254,38 +254,18 @@ def test_c06_link_prediction_mean_rank(full_run):
 
 # -- criterion 7: fusion projection and verified grid maximum ----------------------
 
-def _candidate_lists_from_artifacts(workdir, corpus, user_emb, aggregation="max"):
-    from acadsearch.user_models import AggregationMode, kg_user_score
-    lists = []
-    with open(workdir / "score" / "test_candidates.jsonl") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    for rec in records:
-        if user_emb is None:
-            user = [0.0] * len(rec["doc_ids"])
-        else:
-            user = []
-            for d in rec["doc_ids"]:
-                s, known = kg_user_score(user_emb, rec["user_id"],
-                                         corpus.get(d).author_ids,
-                                         AggregationMode(aggregation))
-                if not known:
-                    user = [0.0] * len(rec["doc_ids"])
-                    break
-                user.append(s)
-            else:
-                present = [s for s in user if s is not None]
-                floor = min(present) if present else 0.0
-                user = [floor if s is None else s for s in user]
-        scores = np.column_stack([rec["bm25"], rec["dense"], user])
-        lists.append(CandidateList(rec["query_id"], rec["doc_ids"], scores))
-    return lists
-
-
 def test_c07_fusion_projection_and_grid_maximum(full_run):
     cfg, workdir, _ = full_run
     corpus, _ = load_corpus(workdir / "corpus" / "corpus.jsonl",
                             workdir / "corpus" / "authors.jsonl")
-    lists = _candidate_lists_from_artifacts(workdir, corpus, None)
+    pipeline = Pipeline(cfg)
+
+    def two_stage_lists(split):
+        records = _load_candidates(
+            workdir / "score" / f"{split}_candidates.jsonl", corpus)
+        return pipeline._candidate_lists(records, corpus, "none")
+
+    lists = two_stage_lists("test")
     assert len(lists) >= 100
     projections_ok = True
     for cl in lists:
@@ -299,13 +279,7 @@ def test_c07_fusion_projection_and_grid_maximum(full_run):
 
     # re-evaluate the tuned two_stage grid with the naive metric oracle
     val_qrels = load_qrels(workdir / "splits" / "val_qrels.txt")
-    val_lists = []
-    with open(workdir / "score" / "val_candidates.jsonl") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            scores = np.column_stack(
-                [rec["bm25"], rec["dense"], [0.0] * len(rec["doc_ids"])])
-            val_lists.append(CandidateList(rec["query_id"], rec["doc_ids"], scores))
+    val_lists = two_stage_lists("val")
     step = cfg["fusion"]["grid_step"]
     best, best_key = None, None
     for lam in lambda_grid(step):

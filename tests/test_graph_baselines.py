@@ -3,22 +3,10 @@ import pytest
 
 from acadsearch.corpus.model import Corpus, Document
 from acadsearch.errors import ConfigError, DataFormatError
-from acadsearch.graph_baselines import CitationGraph, pagerank, pagerank_by_ordinal
+from acadsearch.graph_baselines import (CitationGraph, pagerank,
+                                        pagerank_by_ordinal,
+                                        popularity_by_ordinal)
 from oracles import reference_pagerank
-
-
-def pop_score(graph, ordinal):
-    """In-degree of the document in the pre-cutoff citation graph."""
-    if not graph.has(ordinal):
-        raise KeyError(f"ordinal {ordinal} not in the citation graph")
-    return int(graph.in_degree[graph.node_index(ordinal)])
-
-
-def dump_scores(graph, scores, corpus, path):
-    """`doc_id<TAB>score` lines for external inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for o, s in zip(graph.ordinals, scores):
-            fh.write(f"{corpus.doc(int(o)).doc_id}\t{s:.10g}\n")
 
 
 def test_pagerank_complete_graph_uniform():
@@ -74,18 +62,20 @@ def test_graph_rejects_self_loops_and_foreign_edges():
 
 
 def test_pop_score_examples():
-    graph = CitationGraph([0, 1, 2, 3], [(1, 0), (2, 0), (3, 0)])
-    assert pop_score(graph, 0) == 3
-    assert pop_score(graph, 1) == 0
-    with pytest.raises(KeyError):
-        pop_score(graph, 9)
+    graph = CitationGraph([0, 2, 3, 5], [(2, 0), (3, 0), (5, 0), (0, 3)])
+    pop = popularity_by_ordinal(graph, 8)
+    assert pop.dtype == np.float64
+    assert pop.tolist() == [3.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_pop_handshake(small_synth):
     _, corpus, _ = small_synth
     graph = CitationGraph.from_corpus(corpus, cutoff_year=2016)
-    total = sum(pop_score(graph, int(o)) for o in graph.ordinals)
-    assert total == len(graph.src)
+    pop = popularity_by_ordinal(graph, len(corpus))
+    assert pop.sum() == len(graph.src)
+    outside = np.ones(len(corpus), dtype=bool)
+    outside[graph.ordinals] = False
+    assert outside.any() and not pop[outside].any()
 
 
 def test_from_corpus_respects_cutoff(small_synth):
@@ -100,20 +90,10 @@ def test_from_corpus_respects_cutoff(small_synth):
 def test_pagerank_by_ordinal_alignment(small_synth):
     _, corpus, _ = small_synth
     graph = CitationGraph.from_corpus(corpus, cutoff_year=2012)
-    by_ord = pagerank_by_ordinal(graph)
+    by_ord = pagerank_by_ordinal(graph, len(corpus))
     scores = pagerank(graph)
-    for i, o in enumerate(graph.ordinals[:20]):
-        assert by_ord[int(o)] == pytest.approx(float(scores[i]))
-
-
-def test_dump_scores(tmp_path, small_synth):
-    _, corpus, _ = small_synth
-    graph = CitationGraph.from_corpus(corpus, cutoff_year=2012)
-    scores = pagerank(graph)
-    path = tmp_path / "pr.tsv"
-    dump_scores(graph, scores, corpus, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == graph.n
-    doc_id, value = lines[0].split("\t")
-    assert doc_id in corpus
-    float(value)
+    assert by_ord.shape == (len(corpus),)
+    for i, o in enumerate(graph.ordinals):
+        assert by_ord[int(o)] == scores[i]
+    in_graph = set(graph.ordinals.tolist())
+    assert all(by_ord[o] == 0.0 for o in range(len(corpus)) if o not in in_graph)

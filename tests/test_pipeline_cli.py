@@ -4,6 +4,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from acadsearch.cli import main
@@ -532,7 +533,130 @@ def test_cli_set_override(tmp_path):
     assert n_lines == 300
 
 
+@pytest.mark.parametrize("stage", ["tune", "eval", "ablate"])
+@pytest.mark.parametrize("key, value", [("user_channel", "bogus"),
+                                        ("aggregation", "median"),
+                                        ("user_metric", "manhattan")])
+def test_cli_bad_fusion_value_exit_1(tmp_path, capsys, stage, key, value):
+    """A fusion value no user channel accepts exits 1 naming the key, before
+    the stage writes anything."""
+    workdir = tmp_path / "w"
+    capsys.readouterr()
+    assert main(["--workdir", str(workdir), "--quiet",
+                 "--set", f"fusion.{key}={value}", stage]) == 1
+    err = capsys.readouterr().err
+    assert f"fusion.{key}" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not workdir.exists()
+
+
+def test_cli_transe_system_comes_from_config(tiny_run, tmp_path, capsys):
+    """With fusion.include_transe, `tune` asks for the TransE model instead
+    of tuning without it; once trained, it is tuned and evaluated."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    shutil.rmtree(workdir / "kg_embed" / "transe", ignore_errors=True)
+    argv = ["--config", str(cfg_path), "--quiet",
+            "--set", "fusion.include_transe=true"]
+    capsys.readouterr()
+    assert main(argv + ["tune"]) == 2
+    err = capsys.readouterr().err
+    assert "kg_embed/transe" in err and "run `train-kg` first" in err
+    assert main(argv + ["train-kg", "--model", "transe"]) == 0
+    assert main(argv + ["tune"]) == 0
+    assert main(argv + ["eval"]) == 0
+    metrics = json.loads((workdir / "eval" / "metrics.json").read_text())
+    assert "fused_transe" in metrics["systems"]
+    assert "fused_transe_vs_two_stage" in metrics["significance"]
+
+
 def test_cli_removed_corruption_key_is_unknown(tmp_path, capsys):
     assert main(["--workdir", str(tmp_path / "w"), "--quiet",
                  "--set", "kg_train.corruption=uniform", "train-kg"]) == 1
     assert "unknown config key 'kg_train.corruption'" in capsys.readouterr().err
+
+
+def _crafted_records(corpus, contexts, kg_emb, cutoff):
+    """A corpus copy in which one pre-cutoff document's author is not in the
+    KG catalog and another has no authors, and records over it that reach
+    each special case of the user channels."""
+    import dataclasses
+    from acadsearch.corpus.model import Corpus
+    from acadsearch.kg_builder import EntityKind
+    before = [d.doc_id for d in corpus.docs if d.year < cutoff]
+    after = [d.doc_id for d in corpus.docs if d.year >= cutoff]
+    new_authors = {before[0]: ["ghost"], before[1]: []}
+    crafted = Corpus([dataclasses.replace(d, author_ids=new_authors[d.doc_id])
+                      if d.doc_id in new_authors else d for d in corpus.docs],
+                     list(corpus.authors.values()))
+    assert (EntityKind.USER, "ghost") not in kg_emb.catalog
+    unpublished = next(u for u in sorted(corpus.authors) if u not in contexts)
+    assert (EntityKind.USER, unpublished) in kg_emb.catalog
+    published = sorted(contexts)[0]
+    records = []
+    for user in (published, unpublished, "nobody", None):
+        for doc_ids in (before[:2] + after[:1] + before[2:9], before[:2],
+                        after[1:2]):
+            records.append({"query_id": f"crafted-{len(records)}",
+                            "user_id": user, "text": crafted.get(before[5]).title,
+                            "doc_ids": doc_ids,
+                            "ordinals": [crafted.ordinal(d) for d in doc_ids]})
+    return crafted, records
+
+
+@pytest.mark.parametrize("channel", ["kg", "mean", "attention", "selfcite",
+                                     "pagerank", "pop", "none"])
+def test_user_column_matches_frozen_oracle(tiny_run, channel):
+    """Every channel scores the tiny run's val and test candidates, and
+    crafted records (unknown user, user without pre-cutoff papers, candidate
+    without a catalogued author, candidate outside the pre-cutoff graph),
+    bit for bit as the per-candidate pipeline code did."""
+    from acadsearch.corpus import load_corpus
+    from acadsearch.dense_encoder import (HashedBowEncoder,
+                                          load_precomputed_embeddings)
+    from acadsearch.graph_baselines import (CitationGraph, pagerank,
+                                            pagerank_by_ordinal,
+                                            popularity_by_ordinal)
+    from acadsearch.kg_builder import KGConfig, build_catalog
+    from acadsearch.kg_embed import load_kg_embeddings
+    from acadsearch.pipeline import _load_candidates
+    from acadsearch.user_models import (AggregationMode, ChannelInputs,
+                                        build_user_contexts, user_column)
+    from oracles import frozen_user_column, same_bits
+    cfg, workdir = tiny_run
+    corpus, _ = load_corpus(workdir / "corpus" / "corpus.jsonl",
+                            workdir / "corpus" / "authors.jsonl")
+    cutoff = json.loads((workdir / "splits" / "split.json").read_text())["cutoff_year"]
+    contexts = build_user_contexts(corpus, cutoff)
+    store = load_precomputed_embeddings(workdir / "embed" / "doc_embeddings.bin",
+                                        expect_count=len(corpus))
+    encoder = HashedBowEncoder.load(workdir / "dense" / "encoder.bin")
+    catalog = build_catalog(corpus, list(corpus.authors.values()),
+                            KGConfig(**cfg["kg"]))
+    kg_emb = load_kg_embeddings(workdir / "kg_embed" / "transh" / "entities.bin",
+                                workdir / "kg_embed" / "transh"
+                                / "entities.manifest.txt", catalog)
+    graph = CitationGraph.from_corpus(corpus, cutoff)
+    resources = {"kg_emb": kg_emb, "contexts": contexts, "store": store,
+                 "encoder": encoder, "graph": graph, "pagerank": {
+                     int(o): float(s) for o, s in zip(graph.ordinals,
+                                                      pagerank(graph))}}
+    real = [r for split in ("val", "test") for r in _load_candidates(
+        workdir / "score" / f"{split}_candidates.jsonl", corpus)]
+    crafted, records = _crafted_records(corpus, contexts, kg_emb, cutoff)
+    by_ordinal = {"pagerank": pagerank_by_ordinal,
+                  "pop": popularity_by_ordinal}.get(channel)
+    settings = ([("max", "cosine"), ("mean", "neg_l2")] if channel == "kg"
+                else [("max", "cosine")])
+    for aggregation, metric in settings:
+        for docs, batch in ((corpus, real), (crafted, records)):
+            inputs = ChannelInputs(
+                docs, AggregationMode(aggregation), metric, kg=kg_emb,
+                contexts=contexts, store=store, encoder=encoder,
+                by_ordinal=by_ordinal(graph, len(corpus)) if by_ordinal else None)
+            for record in batch:
+                column = user_column(channel, inputs, record)
+                expected = frozen_user_column(channel, record, docs, resources,
+                                              aggregation, metric)
+                assert same_bits(column, np.asarray(expected, dtype=np.float64)), (
+                    record["query_id"], aggregation, metric)
+    assert len(real) > 60

@@ -8,11 +8,12 @@ from acadsearch.corpus.model import Author, Corpus, Document
 from acadsearch.dense_encoder import DocEmbeddingStore
 from acadsearch.kg_builder import KGConfig, build_catalog
 from acadsearch.kg_embed import KGEmbeddings, KGTrainConfig, init_embeddings
-from acadsearch.user_models import (AggregationMode, UserContext,
-                                    attention_user_score, attention_weights,
-                                    build_user_contexts, kg_user_score,
-                                    kg_user_scores, mean_user_vector,
-                                    self_citation_score)
+from acadsearch.user_models import (AggregationMode, ChannelInputs,
+                                    UserContext, attention_user_score,
+                                    attention_weights, build_user_contexts,
+                                    kg_user_score, kg_user_scores,
+                                    mean_user_vector, self_citation_score,
+                                    user_column)
 from oracles import naive_attention_user_score, naive_kg_user_score
 
 
@@ -44,7 +45,7 @@ def _shared_kg_embeddings():
 
 
 def test_kg_user_score_self_similarity(kg_embeddings):
-    score, known = kg_user_score(kg_embeddings, "u1", ["u1"])
+    [score], known = kg_user_scores(kg_embeddings, "u1", [["u1"]])
     assert known
     assert score == pytest.approx(1.0, abs=1e-9)
 
@@ -57,7 +58,7 @@ def test_kg_user_score_orthogonal_is_zero(kg_embeddings):
     kg_embeddings.entities[u0] = np.eye(8)[0]
     kg_embeddings.entities[u1] = np.eye(8)[1]
     for mode in AggregationMode:
-        score, known = kg_user_score(kg_embeddings, "u0", ["u1"], mode)
+        [score], known = kg_user_scores(kg_embeddings, "u0", [["u1"]], mode)
         assert known and score == pytest.approx(0.0, abs=1e-12)
 
 
@@ -70,21 +71,21 @@ def test_kg_user_score_max_matches_pairwise_oracle(kg_embeddings):
         v = kg_embeddings.entities[cat.ordinal(EntityKind.USER, u)]
         sims.append(float(np.dot(q, v) /
                           (np.linalg.norm(q) * np.linalg.norm(v))))
-    score, _ = kg_user_score(kg_embeddings, "u0", ["u1", "u2", "u3"],
-                             AggregationMode.MAX)
+    [score], _ = kg_user_scores(kg_embeddings, "u0", [["u1", "u2", "u3"]],
+                                AggregationMode.MAX)
     assert score == pytest.approx(max(sims), abs=1e-12)
-    mean_score, _ = kg_user_score(kg_embeddings, "u0", ["u1", "u2", "u3"],
-                                  AggregationMode.MEAN)
+    [mean_score], _ = kg_user_scores(kg_embeddings, "u0", [["u1", "u2", "u3"]],
+                                     AggregationMode.MEAN)
     assert mean_score == pytest.approx(float(np.mean(sims)), abs=1e-12)
 
 
 def test_kg_user_score_unknown_user_flagged(kg_embeddings):
-    score, known = kg_user_score(kg_embeddings, "stranger", ["u1"])
+    [score], known = kg_user_scores(kg_embeddings, "stranger", [["u1"]])
     assert score == 0.0 and not known
 
 
 def test_kg_user_score_no_known_authors(kg_embeddings):
-    score, known = kg_user_score(kg_embeddings, "u0", ["ghost1", "ghost2"])
+    [score], known = kg_user_scores(kg_embeddings, "u0", [["ghost1", "ghost2"]])
     assert score is None and known
 
 
@@ -92,8 +93,10 @@ def test_max_dominates_mean(kg_embeddings):
     rng = np.random.default_rng(3)
     for _ in range(30):
         authors = [f"u{int(rng.integers(4))}" for _ in range(3)]
-        hi, _ = kg_user_score(kg_embeddings, "u0", authors, AggregationMode.MAX)
-        lo, _ = kg_user_score(kg_embeddings, "u0", authors, AggregationMode.MEAN)
+        [hi], _ = kg_user_scores(kg_embeddings, "u0", [authors],
+                                 AggregationMode.MAX)
+        [lo], _ = kg_user_scores(kg_embeddings, "u0", [authors],
+                                 AggregationMode.MEAN)
         assert hi >= lo - 1e-12
         assert -1.0 - 1e-9 <= lo <= hi <= 1.0 + 1e-9
 
@@ -163,10 +166,14 @@ def test_attention_empty_context_falls_back():
 
 def test_self_citation():
     ctx = UserContext("u1", [0], frozenset({"u2"}))
-    assert self_citation_score(ctx, ["u1", "ux"]) == 1.0
-    assert self_citation_score(ctx, ["u2"]) == 1.0
-    assert self_citation_score(ctx, ["u9"]) == 0.0
-    assert self_citation_score(None, ["u1"]) == 0.0
+    scores = self_citation_score(ctx, [["u1", "ux"], ["u2"], ["u9"], []])
+    assert scores.dtype == np.float64
+    assert scores.tolist() == [1.0, 1.0, 0.0, 0.0]
+    corpus = Corpus([Document("d0", "t", "a", ["u1"], None, 2000, [])])
+    inputs = ChannelInputs(corpus, AggregationMode.MAX, "cosine",
+                           contexts={"u1": ctx})
+    unknown = {"user_id": "u9", "text": "t", "ordinals": [0]}
+    assert user_column("selfcite", inputs, unknown).tolist() == [0.0]
 
 
 def test_negative_l2_metric_flag(kg_embeddings):
@@ -174,11 +181,12 @@ def test_negative_l2_metric_flag(kg_embeddings):
     cat = kg_embeddings.catalog
     q = kg_embeddings.entities[cat.ordinal(EntityKind.USER, "u0")]
     v = kg_embeddings.entities[cat.ordinal(EntityKind.USER, "u1")]
-    score, known = kg_user_score(kg_embeddings, "u0", ["u1"], metric="neg_l2")
+    [score], known = kg_user_scores(kg_embeddings, "u0", [["u1"]],
+                                    metric="neg_l2")
     assert known
     assert score == pytest.approx(-float(np.linalg.norm(q - v)), abs=1e-12)
     with pytest.raises(ValueError):
-        kg_user_score(kg_embeddings, "u0", ["u1"], metric="manhattan")
+        kg_user_scores(kg_embeddings, "u0", [["u1"]], metric="manhattan")
 
 
 def test_missing_user_constant_channel_neutrality():
