@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import time
 from pathlib import Path
 
@@ -152,12 +153,56 @@ def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# A file whose status changed less than this long before it was hashed may
+# be rewritten within the same timestamp tick, so its digest is not kept.
+_RACY_NS = 100_000_000
+
+# path -> (stat key, sha256) of settled files, for the life of the process
+_digest_cache: dict[str, tuple[tuple[int, ...], str]] = {}
+
+# kind -> (content key, parsed value): the latest corpus and candidate
+# records, at most one of each kind, shared by every Pipeline in the process
+_memo: dict[str, tuple[tuple, object]] = {}
+
+
+def _stat_key(path: Path) -> tuple[int, ...]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def _hash_file(path: Path) -> str:
+    """sha256 of ``path``, read again only when its status has changed.
+
+    A digest is kept only if the file's status was the same before and after
+    the read and its ctime lies more than _RACY_NS before the clock read
+    ahead of hashing ("racily clean", as git calls it). A ctime with no
+    sub-second part marks a coarse filesystem, whose files are never kept.
+    No call can set ctime back, so any later write changes the key.
+    """
+    now = time.time_ns()
+    key = _stat_key(path)
+    cached = _digest_cache.get(str(path))
+    if cached is not None and cached[0] == key:
+        return cached[1]
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
+    digest = h.hexdigest()
+    ctime = key[4]
+    if (ctime % 1_000_000_000 and now - ctime > _RACY_NS
+            and _stat_key(path) == key):
+        _digest_cache[str(path)] = (key, digest)
+    return digest
+
+
+def _memoized(kind: str, key: tuple, load):
+    """``load()``, or the value it gave for ``key`` if that was the latest
+    ``kind`` loaded in this process."""
+    slot = _memo.get(kind)
+    if slot is None or slot[0] != key:
+        slot = _memo[kind] = (key, load())
+    return slot[1]
 
 
 def _read_json_object(path: Path, what: str) -> dict:
@@ -203,6 +248,7 @@ def _check_candidates(record, corpus) -> dict:
         scores = np.asarray(record[channel], dtype=np.float64)
         if scores.shape != (len(doc_ids),) or not np.isfinite(scores).all():
             raise ValueError(f"{channel} must hold one finite number per doc_id")
+        scores.flags.writeable = False   # records are shared once memoized
         record[channel] = scores
     return record
 
@@ -244,6 +290,12 @@ class Pipeline:
             if (value := cfg["fusion"][key]) not in choices:
                 raise ConfigError(f"fusion.{key} must be one of "
                                   f"{', '.join(choices)}; got {value!r}")
+        step = cfg["fusion"]["grid_step"]
+        # (0, 1] also rules out NaN and infinity; the tolerance is lambda_grid's
+        if (isinstance(step, bool) or not isinstance(step, (int, float))
+                or not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9):
+            raise ConfigError(f"fusion.grid_step must be a number in (0, 1] "
+                              f"that divides 1; got {step!r}")
         self.cfg = cfg
         self.force = force
         self.workdir = Path(cfg["paths"]["workdir"])
@@ -356,12 +408,24 @@ class Pipeline:
                  report.documents, report.self_references_dropped,
                  report.dangling_references_dropped)
 
+    def _corpus_key(self) -> tuple[str, str | None]:
+        """Digests of the corpus files, each read through _input; None for
+        a workdir without authors.jsonl."""
+        corpus_file = "corpus/corpus.jsonl"
+        authors_file = "corpus/authors.jsonl"
+        self._input(corpus_file)
+        if not (self.workdir / authors_file).exists():
+            return self._digest(corpus_file), None
+        self._input(authors_file)
+        return self._digest(corpus_file), self._digest(authors_file)
+
     def _load_corpus(self):
-        corpus_file = self._input("corpus/corpus.jsonl")
-        has_authors = (self.workdir / "corpus" / "authors.jsonl").exists()
-        corpus, _ = corpus_mod.load_corpus(
-            corpus_file, self._input("corpus/authors.jsonl") if has_authors else None)
-        return corpus
+        """The workdir corpus, parsed once per process for each content."""
+        key = self._corpus_key()
+        corpus_dir = self.workdir / "corpus"
+        return _memoized("corpus", key, lambda: corpus_mod.load_corpus(
+            corpus_dir / "corpus.jsonl",
+            corpus_dir / "authors.jsonl" if key[1] else None)[0])
 
     # -- index -------------------------------------------------------------------
 
@@ -579,6 +643,16 @@ class Pipeline:
                         }) + "\n")
         log.info("score: candidate lists written for val and test")
 
+    def _corpus_and_candidates(self, split: str):
+        """The corpus and ``split``'s candidate records, each parsed once per
+        process for each content of the files they come from."""
+        rel = f"score/{split}_candidates.jsonl"
+        path = self._input(rel)
+        corpus = self._load_corpus()
+        records = _memoized(rel, (self._digest(rel), self._corpus_key()),
+                            lambda: _load_candidates(path, corpus))
+        return corpus, records
+
     # -- user channels ------------------------------------------------------------------
 
     def _candidate_lists(self, records: list[dict], corpus, channel: str,
@@ -632,9 +706,7 @@ class Pipeline:
 
     def stage_tune(self) -> None:
         with self._stage("tune") as out:
-            candidates = self._input("score/val_candidates.jsonl")
-            corpus = self._load_corpus()
-            records = _load_candidates(candidates, corpus)
+            corpus, records = self._corpus_and_candidates("val")
             qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
             step = self.cfg["fusion"]["grid_step"]
             lambdas: dict[str, dict] = {}
@@ -650,10 +722,8 @@ class Pipeline:
 
     def stage_eval(self) -> None:
         with self._stage("eval") as out:
-            candidates = self._input("score/test_candidates.jsonl")
+            corpus, records = self._corpus_and_candidates("test")
             lambdas_path = self._input("tune/lambdas.json")
-            corpus = self._load_corpus()
-            records = _load_candidates(candidates, corpus)
             qrels = corpus_mod.load_qrels(self._input("splits/test_qrels.txt"))
             lambdas = _read_json_object(lambdas_path, "fusion weights file")
             tuned = {}
@@ -720,12 +790,9 @@ class Pipeline:
 
     def stage_ablate(self) -> None:
         with self._stage("ablate") as out:
-            val_candidates = self._input("score/val_candidates.jsonl")
-            test_candidates = self._input("score/test_candidates.jsonl")
-            corpus = self._load_corpus()
+            corpus, val_records = self._corpus_and_candidates("val")
+            _, test_records = self._corpus_and_candidates("test")
             store = self._doc_embeddings(corpus)
-            val_records = _load_candidates(val_candidates, corpus)
-            test_records = _load_candidates(test_candidates, corpus)
             val_qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
             test_qrels = corpus_mod.load_qrels(self._input("splits/test_qrels.txt"))
             authors = list(corpus.authors.values())

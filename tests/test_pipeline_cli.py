@@ -1,12 +1,16 @@
+import contextlib
+import functools
 import json
 import os
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from acadsearch import pipeline as pipeline_mod
 from acadsearch.cli import main
 from acadsearch.errors import (ConfigError, MissingArtifactError,
                                StaleArtifactError)
@@ -195,7 +199,7 @@ def _move_first_author(workdir, cfg_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
-@pytest.mark.parametrize("edit, sets, stage, rerun", [
+_UPSTREAM_EDITS = pytest.mark.parametrize("edit, sets, stage, rerun", [
     pytest.param(_retrain_kg_with_new_lr, ["kg_train.lr=0.01"], "eval", "tune",
                  id="kg-retrained"),
     pytest.param(_truncate_train_queries, [], "embed", "train-dense",
@@ -203,6 +207,9 @@ def _move_first_author(workdir, cfg_path):
     pytest.param(_move_first_author, [], "train-kg", "build-kg",
                  id="authors-edited"),
 ])
+
+
+@_UPSTREAM_EDITS
 def test_cli_edited_upstream_makes_stage_stale(tiny_run, tmp_path, capsys, edit,
                                                sets, stage, rerun):
     """A stage refuses to run when a file an upstream stage read has changed
@@ -237,22 +244,57 @@ def _record_reads(event, args):
     opened.add(path[len(root):])
 
 
-def test_manifest_inputs_are_the_files_each_stage_opens(tiny_run, tmp_path):
-    """Every workdir file a stage opens, other than a stage manifest, is
-    listed in that stage's manifest inputs, and nothing else is."""
-    cfg, src_workdir = tiny_run
-    workdir = tmp_path / "w"
-    shutil.copytree(src_workdir, workdir)
-    calls = [(name, {}) for name in STAGES if name != "ingest"]
-    calls += [(name, {"user_channel": channel})
-              for channel in ("mean", "attention", "selfcite", "pagerank", "pop")
-              for name in ("tune", "eval")]
-    sys.addaudithook(_record_reads)   # stays for the process; idle unless recording
-    for name, fusion in calls:
+_COUNTING: list[list[str]] = []
+
+
+def _count_opens(event, args):
+    """Audit hook: every path opened, hashing included, while a test counts."""
+    if _COUNTING and event == "open" and isinstance(args[0], str):
+        _COUNTING[-1].append(args[0])
+
+
+@functools.cache
+def _install_audit_hooks() -> None:
+    sys.addaudithook(_record_reads)   # both stay for the process; idle unless on
+    sys.addaudithook(_count_opens)
+
+
+@contextlib.contextmanager
+def _counting_opens():
+    _install_audit_hooks()
+    opened: list[str] = []
+    _COUNTING.append(opened)
+    try:
+        yield opened
+    finally:
+        _COUNTING.clear()
+
+
+def _forget_inputs():
+    """Drop the digests and parsed inputs this process remembers, so the
+    next stage call opens every file it reads."""
+    pipeline_mod._digest_cache.clear()
+    pipeline_mod._memo.clear()
+
+
+_AUDITED_CALLS = [(name, {}) for name in STAGES if name != "ingest"] + [
+    (name, {"user_channel": channel})
+    for channel in ("mean", "attention", "selfcite", "pagerank", "pop")
+    for name in ("tune", "eval")]
+
+
+def _run_audited_calls(cfg, workdir, cold: bool, force: bool):
+    """Each audited stage call on ``workdir``, from a cold process state or
+    a warm one: [(call, workdir files it opened, its manifest inputs)]."""
+    _install_audit_hooks()
+    out = []
+    for name, fusion in _AUDITED_CALLS:
         changed = json.loads(json.dumps(cfg))
         changed["paths"]["workdir"] = str(workdir)
         changed["fusion"].update(fusion)
-        pipeline = Pipeline(changed, force=True)
+        pipeline = Pipeline(changed, force=force)
+        if cold:
+            _forget_inputs()
         opened: set[str] = set()
         _RECORDING.append((str(workdir) + os.sep, opened))
         try:
@@ -261,9 +303,176 @@ def test_manifest_inputs_are_the_files_each_stage_opens(tiny_run, tmp_path):
             _RECORDING.clear()
         subdir = STAGES[name][0] + ("/transh" if name == "train-kg" else "")
         manifest = json.loads((workdir / subdir / "manifest.json").read_text())
+        out.append(((name, fusion), opened, manifest["inputs"]))
+    return out
+
+
+def test_manifest_inputs_are_the_files_each_stage_opens(tiny_run, tmp_path):
+    """Every workdir file a stage opens, other than a stage manifest, is
+    listed in that stage's manifest inputs, and nothing else is. Each call
+    starts cold, so a remembered corpus cannot hide a read."""
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    for (name, fusion), opened, inputs in _run_audited_calls(
+            cfg, workdir, cold=True, force=True):
         reads = {p for p in opened if not p.endswith("/manifest.json")}
-        assert reads == set(manifest["inputs"]), (name, fusion)
+        assert reads == set(inputs), (name, fusion)
         assert reads or name == "synth", name
+
+
+def test_warm_stage_calls_record_the_cold_manifest_inputs(tiny_run, tmp_path):
+    """The same stage calls, run again in a process that remembers digests
+    and parsed inputs, and checking freshness, list the same inputs with
+    the same digests in every manifest."""
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    cold = _run_audited_calls(cfg, workdir, cold=True, force=True)
+    _settle()
+    warm = _run_audited_calls(cfg, workdir, cold=False, force=False)
+    assert pipeline_mod._memo and pipeline_mod._digest_cache
+    for (call, _, cold_inputs), (_, _, warm_inputs) in zip(cold, warm):
+        assert warm_inputs == cold_inputs, call
+
+
+def _settle():
+    """Wait until every file written so far is older than the racy margin,
+    so its digest is kept."""
+    time.sleep(pipeline_mod._RACY_NS / 1e9 + 0.1)
+
+
+def _settled_file(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    _settle()
+    return path
+
+
+def test_digest_changes_when_mtime_is_restored(tmp_path):
+    """A same-size rewrite whose mtime is set back with os.utime still
+    changes ctime, so the file is hashed again."""
+    path = _settled_file(tmp_path / "f.bin", b"a" * 4096)
+    before = os.stat(path)
+    old = pipeline_mod._hash_file(path)
+    assert str(path) in pipeline_mod._digest_cache
+    path.write_bytes(b"b" * 4096)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                   before.st_mtime_ns)
+    assert pipeline_mod._hash_file(path) == pipeline_mod._hash_bytes(b"b" * 4096)
+    assert old != pipeline_mod._hash_file(path)
+
+
+def test_digest_changes_when_file_is_replaced(tmp_path):
+    """A file swapped in by os.replace, with the old size and mtime, is a
+    new inode and is hashed again."""
+    path = _settled_file(tmp_path / "f.bin", b"a" * 4096)
+    before = os.stat(path)
+    old = pipeline_mod._hash_file(path)
+    swap = tmp_path / "g.bin"
+    swap.write_bytes(b"c" * 4096)
+    os.utime(swap, ns=(before.st_atime_ns, before.st_mtime_ns))
+    os.replace(swap, path)
+    assert os.stat(path).st_ino != before.st_ino
+    assert pipeline_mod._hash_file(path) == pipeline_mod._hash_bytes(b"c" * 4096)
+    assert old != pipeline_mod._hash_file(path)
+
+
+def test_racily_fresh_file_is_read_on_every_call(tmp_path, monkeypatch):
+    """A file whose ctime lies within the racy margin is never kept: each
+    call reads it again."""
+    monkeypatch.setattr(pipeline_mod, "_RACY_NS", 3600 * 10 ** 9)
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"fresh")
+    with _counting_opens() as opened:
+        digests = {pipeline_mod._hash_file(path) for _ in range(3)}
+    assert digests == {pipeline_mod._hash_bytes(b"fresh")}
+    assert opened.count(str(path)) == 3
+    assert str(path) not in pipeline_mod._digest_cache
+
+
+def test_settled_inputs_are_read_once_per_process(tiny_run, tmp_path):
+    """Across two Pipeline instances, `tune` then `eval`, a settled corpus
+    is hashed once and parsed once, and the encoder `score` read is hashed
+    once."""
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    changed = json.loads(json.dumps(cfg))
+    changed["paths"]["workdir"] = str(workdir)
+    _settle()
+    _forget_inputs()
+    with _counting_opens() as opened:
+        Pipeline(changed).stage_tune()
+        Pipeline(changed).stage_eval()
+    assert opened.count(str(workdir / "corpus" / "corpus.jsonl")) == 2
+    assert opened.count(str(workdir / "dense" / "encoder.bin")) == 1
+
+
+@_UPSTREAM_EDITS
+def test_cli_edit_after_a_warm_call_makes_stage_stale(tiny_run, tmp_path, capsys,
+                                                      edit, sets, stage, rerun):
+    """A stage that already ran in this process, with every input settled
+    and remembered, still refuses to run once an upstream file changes."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    _settle()
+    argv = ["--config", str(cfg_path), "--quiet"]
+    assert main(argv + [stage]) == 0
+    edit(workdir, cfg_path)
+    capsys.readouterr()
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv + [stage]) == 2
+    assert f"re-run `{rerun}`" in capsys.readouterr().err
+
+
+def test_corpus_rewritten_between_calls_is_parsed_again(tmp_path):
+    """A corpus rewritten between two stage calls of one process is parsed
+    again, since the remembered one is keyed on its content."""
+    from acadsearch.lexical_index import load_index
+    for n_docs in (300, 200):
+        cfg = tiny_cfg(tmp_path / "w", synth={"n_docs": n_docs})
+        Pipeline(cfg).stage_synth()
+        Pipeline(cfg).stage_index()
+        assert load_index(tmp_path / "w" / "index" / "index.bin").doc_count == n_docs
+
+
+def test_memoized_inputs_are_not_changed_by_their_users(tiny_run, tmp_path):
+    """`tune` then `eval` in one process, over several user channels, leave
+    the remembered corpus and candidate records equal to a fresh parse."""
+    from acadsearch.corpus import load_corpus, save_authors, save_corpus
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    _forget_inputs()
+    for channel in ("kg", "attention", "pagerank"):
+        changed = json.loads(json.dumps(cfg))
+        changed["paths"]["workdir"] = str(workdir)
+        changed["fusion"]["user_channel"] = channel
+        Pipeline(changed).stage_tune()
+        Pipeline(changed).stage_eval()
+    fresh, _ = load_corpus(workdir / "corpus" / "corpus.jsonl",
+                           workdir / "corpus" / "authors.jsonl")
+    for corpus, tag in ((fresh, "fresh"), (pipeline_mod._memo["corpus"][1], "memo")):
+        save_corpus(corpus, tmp_path / f"{tag}_corpus.jsonl")
+        save_authors(list(corpus.authors.values()), tmp_path / f"{tag}_authors.jsonl")
+    for name in ("corpus.jsonl", "authors.jsonl"):
+        assert ((tmp_path / f"fresh_{name}").read_bytes()
+                == (tmp_path / f"memo_{name}").read_bytes()), name
+    for split in ("val", "test"):
+        rel = f"score/{split}_candidates.jsonl"
+        remembered = pipeline_mod._memo[rel][1]
+        expected = pipeline_mod._load_candidates(workdir / rel, fresh)
+        assert len(remembered) == len(expected)
+        for mine, theirs in zip(remembered, expected):
+            assert mine.keys() == theirs.keys()
+            for key, value in theirs.items():
+                if isinstance(value, np.ndarray):
+                    assert not mine[key].flags.writeable
+                    assert np.array_equal(mine[key], value), key
+                else:
+                    assert mine[key] == value, key
 
 
 @pytest.mark.parametrize("artifact", ["dense/manifest.json", "dense/encoder.bin",
@@ -546,6 +755,21 @@ def test_cli_bad_fusion_value_exit_1(tmp_path, capsys, stage, key, value):
                  "--set", f"fusion.{key}={value}", stage]) == 1
     err = capsys.readouterr().err
     assert f"fusion.{key}" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("stage", ["tune", "ablate"])
+@pytest.mark.parametrize("value", ["0", "x", "-0.5", "0.3", "true"])
+def test_cli_bad_grid_step_exit_1(tmp_path, capsys, stage, value):
+    """A fusion.grid_step that is not a number dividing 1 exits 1 naming
+    the key, before the stage writes anything."""
+    workdir = tmp_path / "w"
+    capsys.readouterr()
+    assert main(["--workdir", str(workdir), "--quiet",
+                 "--set", f"fusion.grid_step={value}", stage]) == 1
+    err = capsys.readouterr().err
+    assert "fusion.grid_step" in err
     assert "Traceback" not in err
     assert not workdir.exists()
 
