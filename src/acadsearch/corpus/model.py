@@ -37,11 +37,6 @@ class Query:
     source_doc_id: str | None = None
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    cutoff_year: int
-
-
 class QrelSet:
     """Binary relevance judgments: query_id -> set of relevant doc_ids."""
 

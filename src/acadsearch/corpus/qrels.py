@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError, SplitError
 from ..lexical_index import BM25Params, InvertedIndex, retrieve_topk, tokenize
-from .model import Corpus, CorpusView, Query, QrelSet, SplitSpec
+from .model import Corpus, CorpusView, Query, QrelSet
 from .text import make_query
 
 log = logging.getLogger(__name__)
@@ -48,14 +48,15 @@ def make_queries(corpus: Corpus, ordinals) -> tuple[list[Query], int]:
     return queries, skipped
 
 
-def chronological_split(corpus: Corpus, spec: SplitSpec) -> tuple[CorpusView, list[Query]]:
+def chronological_split(corpus: Corpus, cutoff_year: int
+                        ) -> tuple[CorpusView, list[Query]]:
     """Train view (year < cutoff) and test queries from the remaining docs."""
-    train = [i for i, d in enumerate(corpus.docs) if d.year < spec.cutoff_year]
-    test = [i for i, d in enumerate(corpus.docs) if d.year >= spec.cutoff_year]
+    train = [i for i, d in enumerate(corpus.docs) if d.year < cutoff_year]
+    test = [i for i, d in enumerate(corpus.docs) if d.year >= cutoff_year]
     if not train:
-        raise SplitError(f"cutoff {spec.cutoff_year} leaves an empty training partition")
+        raise SplitError(f"cutoff {cutoff_year} leaves an empty training partition")
     if not test:
-        raise SplitError(f"cutoff {spec.cutoff_year} leaves an empty test partition")
+        raise SplitError(f"cutoff {cutoff_year} leaves an empty test partition")
     queries, skipped = make_queries(corpus, test)
     if skipped:
         log.info("split: skipped %d test docs (empty query or no authors)", skipped)

@@ -69,21 +69,17 @@ class KGConfig:
     # default to keep wrote/cited as disjoint signal channels.
     include_self_citations: bool = False
 
-    def label(self) -> str:
-        if self.include_affiliation:
-            return "user+venue+affiliation" if self.include_venue else "user+affiliation"
-        return "user+venue" if self.include_venue else "user-only"
-
 
 class EntityCatalog:
     """Contiguous entity ordinals; kind blocks in fixed order, each sorted by id.
 
-    The document block is contiguous, which lets the embedding trainer treat
-    the frozen rows as a slice.
+    Documents come last, so the embedding trainer's trainable rows (users,
+    venues, affiliations) are one prefix and the frozen document rows the
+    tail.
     """
 
-    _KIND_ORDER = (EntityKind.USER, EntityKind.DOCUMENT, EntityKind.VENUE,
-                   EntityKind.AFFILIATION)
+    _KIND_ORDER = (EntityKind.USER, EntityKind.VENUE, EntityKind.AFFILIATION,
+                   EntityKind.DOCUMENT)
 
     def __init__(self, ids_by_kind: dict[EntityKind, list[str]]):
         self._ids: dict[EntityKind, list[str]] = {}
@@ -124,9 +120,6 @@ class EntityCatalog:
 
     def kinds(self) -> tuple[EntityKind, ...]:
         return self._KIND_ORDER
-
-    def ids(self, kind: EntityKind) -> list[str]:
-        return list(self._ids[kind])
 
 
 def build_catalog(corpus: Corpus, authors: list[Author], config: KGConfig

@@ -9,11 +9,13 @@ Two models over the academic KG:
 
 Document entity rows are initialized from the dense encoder's document
 embeddings and never updated, so user/venue/affiliation vectors are pulled
-into the same semantic space as the text. Training minimizes the margin
-ranking loss max(margin + f(pos) - f(neg), 0) over corrupted negatives
-(type-constrained, closed-world filtered), using AdamW. Hyperplane normals
-are re-normalized to unit length after every update; trainable entity rows
-are clipped to the unit ball after every epoch.
+into the same semantic space as the text. The catalog puts the documents
+last, so the trainable rows are one prefix of the entity matrix and the
+frozen document rows its tail. Training minimizes the margin ranking loss
+max(margin + f(pos) - f(neg), 0) over corrupted negatives (type-constrained,
+closed-world filtered), using AdamW. Hyperplane normals are re-normalized to
+unit length after every update; trainable entity rows are clipped to the
+unit ball after every epoch.
 
 A training step computes its row-local maths in blocks of rows that fit a
 core's L2 cache; the loss sum and the gradient scatters then run once over
@@ -81,11 +83,14 @@ def _corrupt_batch(rng, heads, rels, tails, ranges, total: int,
                    known_codes: np.ndarray, rounds: int = 100):
     """Corrupt head or tail (p = 1/2 each) with a type-correct entity.
 
-    Each row resamples until its corrupted triple is absent from
-    ``known_codes`` (closed-world assumption); rows still unresolved after
-    ``rounds`` draws, or whose entity range is empty, come back invalid.
-    ``ranges`` comes from :func:`_corruption_ranges`, ``total`` is the
-    catalog size.
+    Each round picks a side afresh for every pending row and overwrites that
+    side with a draw from its type range; the other side keeps whatever it
+    holds, so a row retried after a rejected draw can end up differing from
+    its positive in both head and tail. A row leaves the pending set once its
+    drawn range is non-empty and its triple is absent from ``known_codes``
+    (closed-world assumption); rows still pending after ``rounds`` rounds
+    come back invalid. ``ranges`` comes from :func:`_corruption_ranges`,
+    ``total`` is the catalog size.
     """
     n = len(heads)
     tail_lo, tail_hi, user_lo, user_hi = ranges
@@ -116,17 +121,21 @@ def _corrupt_batch(rng, heads, rels, tails, ranges, total: int,
 # --- model container ---------------------------------------------------------
 
 class KGEmbeddings:
-    """Entity matrix, relation translations, and (hyperplane model) normals."""
+    """Entity matrix, relation translations, and (hyperplane model) normals.
+
+    ``frozen_range`` is the catalog's document block, the tail of the
+    entity matrix; every row before it is trainable.
+    """
 
     def __init__(self, model: str, entities: np.ndarray,
                  rel_translations: np.ndarray, rel_normals: np.ndarray | None,
-                 catalog: EntityCatalog, frozen_range: tuple[int, int]):
+                 catalog: EntityCatalog):
         self.model = model
         self.entities = entities
         self.rel_translations = rel_translations
         self.rel_normals = rel_normals
         self.catalog = catalog
-        self.frozen_range = frozen_range
+        self.frozen_range = catalog.kind_range(EntityKind.DOCUMENT)
         self.dim = entities.shape[1]
         self.epoch_losses: list[float] = []
         self.normal_deviations: list[float] = []
@@ -141,7 +150,6 @@ class KGTrainConfig:
     lr: float = 1e-3
     epochs: int = 50
     batch_size: int = 4096
-    negatives: int = 1
     constraint_weight: float = 0.25
     constraint_eps: float = 1e-3
     weight_decay: float = 0.01
@@ -150,8 +158,8 @@ class KGTrainConfig:
     def validate(self) -> None:
         if self.model not in ("transe", "transh"):
             raise ConfigError(f"unknown KG model {self.model!r}")
-        if self.margin <= 0 or self.lr <= 0 or self.batch_size < 1 or self.negatives < 1:
-            raise ConfigError("margin, lr, batch_size, negatives must be positive")
+        if self.margin <= 0 or self.lr <= 0 or self.batch_size < 1:
+            raise ConfigError("margin, lr, batch_size must be positive")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -174,12 +182,10 @@ def init_embeddings(catalog: EntityCatalog, store: DocEmbeddingStore,
 
     entities = np.empty((catalog.total, dim), dtype=np.float64)
     entities[:doc_lo] = init_rows(doc_lo)
-    entities[doc_hi:] = init_rows(catalog.total - doc_hi)
-    entities[doc_lo:doc_hi] = store.vectors
+    entities[doc_lo:] = store.vectors
     rel_t = init_rows(N_RELATIONS)
     rel_w = init_rows(N_RELATIONS) if config.model == "transh" else None
-    return KGEmbeddings(config.model, entities, rel_t, rel_w, catalog,
-                        (doc_lo, doc_hi))
+    return KGEmbeddings(config.model, entities, rel_t, rel_w, catalog)
 
 
 def train_kg(triples: list[Triple], store: DocEmbeddingStore,
@@ -189,8 +195,7 @@ def train_kg(triples: list[Triple], store: DocEmbeddingStore,
     emb = init_embeddings(catalog, store, config)
     if config.epochs == 0 or not triples:
         return emb
-    dim = emb.dim
-    doc_lo, doc_hi = emb.frozen_range
+    n_train = emb.frozen_range[0]
     total = catalog.total
 
     heads = np.asarray([t.head for t in triples], dtype=np.int64)
@@ -201,10 +206,9 @@ def train_kg(triples: list[Triple], store: DocEmbeddingStore,
     ranges = _corruption_ranges(catalog)
 
     rng = np.random.default_rng(config.seed + 1)
-    ent = emb.entities
-    opt_pre = AdamW((doc_lo, dim), lr=config.lr, weight_decay=config.weight_decay)
-    opt_post = AdamW((total - doc_hi, dim), lr=config.lr,
-                     weight_decay=config.weight_decay)
+    trainable = emb.entities[:n_train]
+    opt_ent = AdamW((n_train, emb.dim), lr=config.lr,
+                    weight_decay=config.weight_decay)
     opt_rel = AdamW(emb.rel_translations.shape, lr=config.lr,
                     weight_decay=config.weight_decay)
     opt_w = (AdamW(emb.rel_normals.shape, lr=config.lr, weight_decay=0.0)
@@ -216,24 +220,19 @@ def train_kg(triples: list[Triple], store: DocEmbeddingStore,
         batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            if config.negatives > 1:
-                idx = np.repeat(idx, config.negatives)
             bh, br, bt = heads[idx], rels[idx], tails[idx]
             nh, nt, valid = _corrupt_batch(rng, bh, br, bt, ranges, total,
                                            known)
             if not valid.any():
                 continue
             loss = _kg_step(emb, config, bh, br, bt, nh, nt, valid,
-                            opt_pre, opt_post, opt_rel, opt_w)
+                            opt_ent, opt_rel, opt_w)
             batch_losses.append(loss)
         # Trainable rows obey the unit-norm cap; frozen rows are untouched.
-        for sl in (slice(0, doc_lo), slice(doc_hi, total)):
-            block = ent[sl]
-            if block.shape[0]:
-                norms = np.linalg.norm(block, axis=1)
-                over = norms > 1.0
-                if over.any():
-                    block[over] /= norms[over, None]
+        norms = np.linalg.norm(trainable, axis=1)
+        over = norms > 1.0
+        if over.any():
+            trainable[over] /= norms[over, None]
         mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
         emb.epoch_losses.append(mean_loss)
         if emb.rel_normals is not None:
@@ -251,7 +250,7 @@ _KG_BLOCK = 512
 
 
 def _kg_step(emb, config, bh, br, bt, nh, nt, valid,
-             opt_pre, opt_post, opt_rel, opt_w) -> float:
+             opt_ent, opt_rel, opt_w) -> float:
     """One AdamW step on positive triples and their corruptions.
 
     The row-local maths (gathers, residuals, hinge, per-row gradients) runs
@@ -263,8 +262,7 @@ def _kg_step(emb, config, bh, br, bt, nh, nt, valid,
     rel_t = emb.rel_translations
     transh = config.model == "transh"
     dim = emb.dim
-    doc_lo, doc_hi = emb.frozen_range
-    total = ent.shape[0]
+    n_train = emb.frozen_range[0]
     n = len(bh)
     scale = 1.0 / int(valid.sum())
 
@@ -337,24 +335,18 @@ def _kg_step(emb, config, bh, br, bt, nh, nt, valid,
             grad_w[ri] += cw
             grad_rel[ri] += cdr
 
-    # Frozen document rows take no gradient, so their contributions are
-    # dropped before the scatter.
+    # Frozen document rows (the tail) take no gradient, so their
+    # contributions are dropped before the scatter.
     idx = np.concatenate([bh, bt, nh, nt])
-    keep = (idx < doc_lo) | (idx >= doc_hi)
+    keep = idx < n_train
     if not keep.all():
         idx = idx[keep]
         ent_rows = ent_rows[keep]
-    # compact ordinals: the frozen document block is cut out of the middle
-    n_trainable = total - (doc_hi - doc_lo)
-    compact = np.where(idx < doc_lo, idx, idx - (doc_hi - doc_lo))
-    flat = (compact[:, None] * dim + np.arange(dim)).ravel()
-    grad_tr = np.bincount(flat, weights=ent_rows.ravel(),
-                          minlength=n_trainable * dim).reshape(n_trainable, dim)
+    flat = (idx[:, None] * dim + np.arange(dim)).ravel()
+    grad_ent = np.bincount(flat, weights=ent_rows.ravel(),
+                           minlength=n_train * dim).reshape(n_train, dim)
 
-    if doc_lo:
-        opt_pre.step(ent[:doc_lo], grad_tr[:doc_lo])
-    if total - doc_hi:
-        opt_post.step(ent[doc_hi:], grad_tr[doc_lo:])
+    opt_ent.step(ent[:n_train], grad_ent)
     opt_rel.step(rel_t, grad_rel)
     if transh:
         opt_w.step(emb.rel_normals, grad_w)
@@ -373,7 +365,6 @@ def save_kg_embeddings(emb: KGEmbeddings, bin_path: str | Path,
         fh.write("#kg-embeddings v1\n")
         fh.write(f"model\t{emb.model}\n")
         fh.write(f"dim\t{emb.dim}\n")
-        fh.write(f"frozen\t{emb.frozen_range[0]}\t{emb.frozen_range[1]}\n")
         for ordinal in range(emb.catalog.total):
             kind, ext = emb.catalog.entity(ordinal)
             fh.write(f"entity\t{ordinal}\t{kind.value}\t{ext}\n")
@@ -400,7 +391,7 @@ def load_kg_embeddings(bin_path: str | Path, manifest_path: str | Path,
     _, line = next(lines, (1, ""))
     if not line.startswith("#kg-embeddings"):
         raise DataFormatError(f"{manifest_path}: not a KG embedding manifest")
-    model = dim = frozen = None
+    model = dim = None
     vectors: dict[str, dict[RelationType, list[float]]] = {"relation": {},
                                                             "normal": {}}
     entity_rows = 0
@@ -414,8 +405,6 @@ def load_kg_embeddings(bin_path: str | Path, manifest_path: str | Path,
                 model = parts[1]
             elif tag == "dim":
                 dim = int(parts[1])
-            elif tag == "frozen":
-                frozen = (int(parts[1]), int(parts[2]))
             elif tag == "entity":
                 ordinal, kind, ext = int(parts[1]), EntityKind(parts[2]), parts[3]
                 if catalog.ordinal(kind, ext) != ordinal:
@@ -437,9 +426,8 @@ def load_kg_embeddings(bin_path: str | Path, manifest_path: str | Path,
     if not line.endswith("\n"):
         raise DataFormatError(f"{manifest_path}: truncated manifest "
                               f"(no newline at the end)")
-    if model is None or dim is None or frozen is None:
-        raise DataFormatError(f"{manifest_path}: manifest missing model, dim "
-                              f"or frozen range")
+    if model is None or dim is None:
+        raise DataFormatError(f"{manifest_path}: manifest missing model or dim")
     if entity_rows != catalog.total:
         raise DataFormatError(f"{manifest_path}: manifest lists {entity_rows} "
                               f"entities, catalog has {catalog.total}")
@@ -456,4 +444,4 @@ def load_kg_embeddings(bin_path: str | Path, manifest_path: str | Path,
     rel_t = np.array([vectors["relation"][rel] for rel in RELATION_ORDER])
     rel_w = (np.array([vectors["normal"][rel] for rel in RELATION_ORDER])
              if vectors["normal"] else None)
-    return KGEmbeddings(model, entities, rel_t, rel_w, catalog, frozen)
+    return KGEmbeddings(model, entities, rel_t, rel_w, catalog)

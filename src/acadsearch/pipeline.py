@@ -22,7 +22,6 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .corpus.io import read_lines
-from .corpus.model import SplitSpec
 from .dense_encoder import (HashedBowEncoder, embed_corpus,
                             load_precomputed_embeddings, train_encoder)
 from .errors import (ConfigError, DataFormatError, MissingArtifactError,
@@ -74,8 +73,8 @@ DEFAULT_CONFIG: dict = {
     "kg_train": {
         # full-scale reference: 100 epochs at batch 16384, same learning rate
         "model": "transh", "margin": 1.0, "lr": 1e-3, "epochs": 50,
-        "batch_size": 4096, "negatives": 1, "constraint_weight": 0.25,
-        "constraint_eps": 1e-3, "weight_decay": 0.01,
+        "batch_size": 4096, "constraint_weight": 0.25, "constraint_eps": 1e-3,
+        "weight_decay": 0.01,
     },
     "fusion": {"grid_step": 0.05, "user_channel": "kg", "aggregation": "max",
                "user_metric": "cosine", "include_transe": True},
@@ -452,7 +451,7 @@ class Pipeline:
                 years = np.sort(np.asarray(corpus.years()))
                 cutoff = int(years[int(0.8 * (len(years) - 1))])
             train_view, test_queries = corpus_mod.chronological_split(
-                corpus, SplitSpec(cutoff))
+                corpus, cutoff)
             rng = np.random.default_rng(self.cfg["seed"] + 101)
             if len(test_queries) > scfg["max_test_queries"]:
                 keep = np.sort(rng.choice(len(test_queries),

@@ -3,7 +3,7 @@ import pytest
 
 from acadsearch.corpus import (build_qrels, chronological_split, make_queries,
                                make_query, query_from_doc)
-from acadsearch.corpus.model import Author, Corpus, Document, SplitSpec
+from acadsearch.corpus.model import Author, Corpus, Document
 from acadsearch.errors import ConfigError, SplitError
 from acadsearch.lexical_index import build_index, retrieve_topk, tokenize
 
@@ -27,7 +27,7 @@ def mini_corpus():
 
 
 def test_split_partitions_by_year(mini_corpus):
-    train, test_queries = chronological_split(mini_corpus, SplitSpec(2017))
+    train, test_queries = chronological_split(mini_corpus, 2017)
     train_years = [d.year for d in train]
     assert all(y < 2017 for y in train_years)
     assert len(train) == 3
@@ -39,9 +39,9 @@ def test_split_partitions_by_year(mini_corpus):
 
 def test_split_boundary_errors(mini_corpus):
     with pytest.raises(SplitError, match="test"):
-        chronological_split(mini_corpus, SplitSpec(2018))  # max year + 1
+        chronological_split(mini_corpus, 2018)  # max year + 1
     with pytest.raises(SplitError, match="training"):
-        chronological_split(mini_corpus, SplitSpec(2015))
+        chronological_split(mini_corpus, 2015)
 
 
 def test_query_from_doc_processing(mini_corpus):
@@ -104,7 +104,7 @@ def test_no_leakage_on_synthetic(small_synth):
     """Test-mode qrels only contain docs published before the query year."""
     _, corpus, _ = small_synth
     index = build_index(corpus)
-    train, test_queries = chronological_split(corpus, SplitSpec(2016))
+    train, test_queries = chronological_split(corpus, 2016)
     qrels, _ = build_qrels(corpus, index, test_queries[:50], "test")
     years = np.asarray([corpus.get(d).year for d in index.doc_ids])
     by_query = {q.query_id: q for q in test_queries}

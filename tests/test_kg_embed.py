@@ -333,6 +333,10 @@ def test_every_prefix_of_a_kg_manifest_is_rejected(tmp_path, tiny_kg, model):
     pytest.param(lambda text: text.replace("\nnormal\tcited\t",
                                            "\nnormal\tcited\t0.5\nx\t"),
                  id="one-value-normal"),
+    pytest.param(lambda text: text.replace("entity\t3\tvenue\t",
+                                           "entity\t6\tvenue\t")
+                 .replace("entity\t6\tdocument\t", "entity\t3\tdocument\t"),
+                 id="documents-before-venues"),
 ])
 def test_malformed_kg_manifest_is_rejected(tmp_path, tiny_kg, edit):
     _, catalog, triples, store = tiny_kg
@@ -344,8 +348,8 @@ def test_malformed_kg_manifest_is_rejected(tmp_path, tiny_kg, edit):
     assert man_path.read_text() != text
     with pytest.raises(DataFormatError, match="e.txt: "):
         load_kg_embeddings(bin_path, man_path, catalog)
-    man_path.write_bytes(text.encode().replace(b"frozen", b"froz\xffen"))
-    with pytest.raises(DataFormatError, match="e.txt: invalid UTF-8 on line 4 "):
+    man_path.write_bytes(text.encode().replace(b"dim", b"d\xffim"))
+    with pytest.raises(DataFormatError, match="e.txt: invalid UTF-8 on line 3 "):
         load_kg_embeddings(bin_path, man_path, catalog)
 
 
@@ -382,8 +386,9 @@ def test_heldout_split_deterministic(tiny_kg):
 # --- the blocked step against the whole-batch oracle -------------------------
 
 def _step_setup(model, seed=0):
-    """Embeddings over 300 users, 400 frozen documents, 20 venues, 10
-    affiliations, plus a blocked and an oracle optimizer set."""
+    """Embeddings over 300 users, 20 venues, 10 affiliations and, last, 400
+    frozen documents, plus a blocked and an oracle optimizer set (entity,
+    relation, normal)."""
     catalog = EntityCatalog({
         EntityKind.USER: [f"u{i:03d}" for i in range(300)],
         EntityKind.DOCUMENT: [f"d{i:03d}" for i in range(400)],
@@ -393,11 +398,10 @@ def _step_setup(model, seed=0):
     store = DocEmbeddingStore(rng.normal(size=(400, 8)))
     config = KGTrainConfig(model=model, seed=seed)
     emb = init_embeddings(catalog, store, config)
-    doc_lo, doc_hi = emb.frozen_range
+    n_train = emb.frozen_range[0]
 
     def optimizers(cls):
-        return (cls((doc_lo, 8), lr=0.01), cls((catalog.total - doc_hi, 8), lr=0.01),
-                cls((N_RELATIONS, 8), lr=0.01),
+        return (cls((n_train, 8), lr=0.01), cls((N_RELATIONS, 8), lr=0.01),
                 cls((N_RELATIONS, 8), lr=0.01, weight_decay=0.0)
                 if model == "transh" else None)
     return emb, config, optimizers(AdamW), optimizers(NaiveAdamW)
@@ -406,7 +410,7 @@ def _step_setup(model, seed=0):
 def _copy_emb(emb):
     return KGEmbeddings(emb.model, emb.entities.copy(), emb.rel_translations.copy(),
                         None if emb.rel_normals is None else emb.rel_normals.copy(),
-                        emb.catalog, emb.frozen_range)
+                        emb.catalog)
 
 
 def _assert_same_state(emb, ref, opts, ref_opts):
@@ -423,7 +427,8 @@ def _assert_same_state(emb, ref, opts, ref_opts):
 @pytest.mark.parametrize("model", ["transe", "transh"])
 def test_kg_step_matches_unblocked_oracle(model):
     """Several steps over 1300 rows (two full blocks and a partial one),
-    with frozen document rows on both sides and invalid negatives."""
+    with rows on the frozen document tail and invalid negatives; the oracle
+    takes ``None`` for the empty block after the documents."""
     emb, config, opts, ref_opts = _step_setup(model)
     ref = _copy_emb(emb)
     total = emb.catalog.total
@@ -439,7 +444,7 @@ def test_kg_step_matches_unblocked_oracle(model):
         valid = rng.random(n) < 0.9
         loss = _kg_step(emb, config, bh, br, bt, nh, nt, valid, *opts)
         ref_loss = naive_kg_step(ref, config, bh, br, bt, nh, nt, valid,
-                                 *ref_opts)
+                                 ref_opts[0], None, *ref_opts[1:])
         assert loss > 0.0
         assert same_bits(np.float64(loss), np.float64(ref_loss))
         _assert_same_state(emb, ref, opts, ref_opts)

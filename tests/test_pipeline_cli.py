@@ -794,9 +794,11 @@ def test_cli_transe_system_comes_from_config(tiny_run, tmp_path, capsys):
 
 
 def test_cli_removed_corruption_key_is_unknown(tmp_path, capsys):
-    assert main(["--workdir", str(tmp_path / "w"), "--quiet",
-                 "--set", "kg_train.corruption=uniform", "train-kg"]) == 1
-    assert "unknown config key 'kg_train.corruption'" in capsys.readouterr().err
+    for key, value in (("kg_train.corruption", "uniform"),
+                       ("kg_train.negatives", "1")):
+        assert main(["--workdir", str(tmp_path / "w"), "--quiet",
+                     "--set", f"{key}={value}", "train-kg"]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
 def _crafted_records(corpus, contexts, kg_emb, cutoff):
