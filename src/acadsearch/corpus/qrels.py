@@ -1,10 +1,11 @@
 """Chronological splitting, query generation, and qrels construction.
 
-Relevance for a query generated from paper p is the union of p's citations
-and the BM25 top-k for p's exact title (train/validation), or citations only
-(test default). The retrieval pool for any query is every document published
-strictly before the query's year, which keeps qrels retrievable under the
-time-aware pool rule.
+A query generated from paper p is relevant to p's citations published
+before the query's year. Only with ``bm25_fallback``, which the training
+split sets, does a query with no such citation take the BM25 top-k for p's
+exact title instead. The retrieval pool for any query is every document
+published strictly before the query's year, which keeps qrels retrievable
+under the time-aware pool rule.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import logging
 
 import numpy as np
 
-from ..errors import ConfigError, SplitError
+from ..errors import SplitError
 from ..lexical_index import BM25Params, InvertedIndex, retrieve_topk, tokenize
 from .model import Corpus, CorpusView, Query, QrelSet
 from .text import make_query
@@ -63,43 +64,34 @@ def chronological_split(corpus: Corpus, cutoff_year: int
     return corpus.view(train), queries
 
 
-def build_qrels(corpus: Corpus, index: InvertedIndex, queries: list[Query],
-                mode: str, depth: int = 100, params: BM25Params | None = None,
-                test_union: bool = False) -> tuple[QrelSet, list[str]]:
-    """Binary qrels for the given queries.
-
-    mode 'train' takes citations plus BM25 top-``depth`` on the exact source
-    title; mode 'test' defaults to citations only (``test_union`` switches the
-    union rule on). Queries that end up with no relevant documents are
-    dropped and their ids returned.
+def build_qrels(corpus: Corpus, index: InvertedIndex, queries: list[Query], *,
+                bm25_fallback: bool = False, depth: int = 100,
+                params: BM25Params | None = None) -> tuple[QrelSet, list[str]]:
+    """Binary qrels: each query's earlier citations, or with
+    ``bm25_fallback`` the BM25 top-``depth`` on the exact source title for a
+    query that has none. Queries left with no relevant documents are dropped
+    and their ids returned. A query shares its source's year, so the source
+    itself is never relevant.
     """
-    if mode not in ("train", "test"):
-        raise ConfigError(f"qrels mode must be 'train' or 'test', got {mode!r}")
-    union = mode == "train" or (mode == "test" and test_union)
     years = np.asarray([corpus.get(d).year for d in index.doc_ids])
     qrels = QrelSet()
     dropped: list[str] = []
     for q in queries:
-        relevant: set[str] = set()
         source = corpus.get(q.source_doc_id) if (
             q.source_doc_id and q.source_doc_id in corpus) else None
-        if source is not None:
-            for ref in source.references:
-                if ref in corpus and corpus.get(ref).year < q.year:
-                    relevant.add(ref)
-        if union:
+        relevant = {ref for ref in (source.references if source else ())
+                    if ref in corpus and corpus.get(ref).year < q.year}
+        if not relevant and bm25_fallback:
             title = source.title if source is not None else q.text
-            allowed = years < q.year
-            hits = retrieve_topk(index, tokenize(title), depth, params, allowed=allowed)
-            relevant.update(index.doc_ids[o] for o, _ in hits)
-        if q.source_doc_id:
-            relevant.discard(q.source_doc_id)
+            hits = retrieve_topk(index, tokenize(title), depth, params,
+                                 allowed=years < q.year)
+            relevant = {index.doc_ids[o] for o, _ in hits}
         if relevant:
             for d in sorted(relevant):
                 qrels.add(q.query_id, d)
         else:
             dropped.append(q.query_id)
     if dropped:
-        log.info("qrels(%s): dropped %d queries with no relevant documents",
-                 mode, len(dropped))
+        log.info("qrels: dropped %d queries with no relevant documents",
+                 len(dropped))
     return qrels, dropped

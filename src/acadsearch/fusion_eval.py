@@ -331,33 +331,30 @@ class RunFile:
     name: str
     rankings: dict[str, list[tuple[str, float, int]]]
 
-    def validate(self) -> None:
+    def validate(self, path: Path) -> None:
+        """Ranks 1..n and non-increasing scores per query, or a
+        DataFormatError naming ``path``, the file the run was read from."""
         for qid, entries in self.rankings.items():
             ranks = [r for _, _, r in entries]
             if ranks != list(range(1, len(entries) + 1)):
-                raise DataFormatError(f"{qid}: ranks are not contiguous from 1")
+                raise DataFormatError(f"{path}: {qid}: ranks are not "
+                                      f"contiguous from 1")
             scores = [s for _, s, _ in entries]
             if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
-                raise DataFormatError(f"{qid}: scores increase with rank")
+                raise DataFormatError(f"{path}: {qid}: scores increase with rank")
 
     def ranking_ids(self) -> dict[str, list[str]]:
         return {qid: [d for d, _, _ in entries]
                 for qid, entries in self.rankings.items()}
 
 
-def run_from_rankings(name: str, fused: dict[str, list[tuple[str, float]]]) -> RunFile:
-    return RunFile(name, {
-        qid: [(doc, score, rank) for rank, (doc, score) in enumerate(entries, 1)]
-        for qid, entries in fused.items()})
-
-
-def write_run(run: RunFile, path: str | Path) -> None:
-    """TREC 6-column format: query_id Q0 doc_id rank score run_tag."""
-    run.validate()
-    tag = run.name
+def write_run(tag: str, fused: dict[str, list[tuple[str, float]]],
+              path: str | Path) -> None:
+    """TREC 6-column format: query_id Q0 doc_id rank score run_tag, with
+    each query's ``fuse`` list ranked from 1."""
     text = "".join([f"{qid} Q0 {doc_id} {rank} {score:.6g} {tag}\n"
-                    for qid in sorted(run.rankings)
-                    for doc_id, score, rank in run.rankings[qid]])
+                    for qid in sorted(fused)
+                    for rank, (doc_id, score) in enumerate(fused[qid], 1)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -385,7 +382,7 @@ def read_run(path: str | Path) -> RunFile:
     for qid in rankings:
         rankings[qid].sort(key=lambda e: e[2])
     run = RunFile(name, rankings)
-    run.validate()
+    run.validate(path)
     return run
 
 
@@ -404,15 +401,11 @@ def metrics_table(reports: list[MetricReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ablation_report(rows: list[tuple[str, dict[str, float]]],
-                    reference: tuple[str, dict[str, float]] | None = None) -> str:
+def ablation_report(rows: list[tuple[str, dict[str, float]]]) -> str:
     """Fixed-order ablation table over KG node-type configurations."""
     metrics = list(METRIC_FNS)
-    width = max(len(name) for name, _ in rows + ([reference] if reference else [])) + 2
+    width = max(len(name) for name, _ in rows) + 2
     lines = [f"{'node types':<{width}}" + "".join(f"{m:>10}" for m in metrics)]
     for name, means in rows:
-        lines.append(f"{name:<{width}}" + "".join(f"{means[m]:>10.4f}" for m in metrics))
-    if reference is not None:
-        name, means = reference
         lines.append(f"{name:<{width}}" + "".join(f"{means[m]:>10.4f}" for m in metrics))
     return "\n".join(lines) + "\n"

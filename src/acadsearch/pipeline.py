@@ -27,7 +27,7 @@ from .dense_encoder import (HashedBowEncoder, embed_corpus,
 from .errors import (ConfigError, DataFormatError, MissingArtifactError,
                      StaleArtifactError)
 from .fusion_eval import (CandidateList, Lambdas, MetricReport, ablation_report,
-                          evaluate_run, fuse, metrics_table, run_from_rankings,
+                          evaluate_run, fuse, metrics_table,
                           significance_test, tune_lambdas, write_run)
 from .graph_baselines import (CitationGraph, pagerank_by_ordinal,
                               popularity_by_ordinal)
@@ -53,7 +53,7 @@ DEFAULT_CONFIG: dict = {
         # cutoff_year null = 80th percentile of publication years
         "cutoff_year": None,
         "max_train_queries": 6000, "max_val_queries": 700,
-        "max_test_queries": 1000, "test_union_qrels": False,
+        "max_test_queries": 1000,
     },
     "bm25": {"k1": 0.9, "b": 0.4, "depth": 100},
     "encoder": {
@@ -463,19 +463,14 @@ class Pipeline:
             train_queries = [pool[i] for i in
                              perm[scfg["max_val_queries"]:
                                   scfg["max_val_queries"] + scfg["max_train_queries"]]]
-            params = self._bm25_params()
-            depth = self.cfg["bm25"]["depth"]
             train_qrels, train_drop = corpus_mod.build_qrels(
-                corpus, index, train_queries, "train", depth, params)
-            # Validation qrels are citations-only: union-mode relevance contains
-            # the BM25 top-100 itself, which at this scale makes pure BM25 the
-            # trivially optimal fusion and blinds the tuner.
-            val_qrels, val_drop = corpus_mod.build_qrels(
-                corpus, index, val_queries, "test", depth, params,
-                test_union=scfg["test_union_qrels"])
-            test_qrels, test_drop = corpus_mod.build_qrels(
-                corpus, index, test_queries, "test", depth, params,
-                test_union=scfg["test_union_qrels"])
+                corpus, index, train_queries, bm25_fallback=True,
+                depth=self.cfg["bm25"]["depth"], params=self._bm25_params())
+            # Validation qrels are citations-only: a BM25 fallback puts the
+            # BM25 top-100 itself into relevance, which at this scale makes pure
+            # BM25 the trivially optimal fusion and blinds the tuner.
+            val_qrels, val_drop = corpus_mod.build_qrels(corpus, index, val_queries)
+            test_qrels, test_drop = corpus_mod.build_qrels(corpus, index, test_queries)
             train_queries = [q for q in train_queries if q.query_id in train_qrels]
             val_queries = [q for q in val_queries if q.query_id in val_qrels]
             test_queries = [q for q in test_queries if q.query_id in test_qrels]
@@ -740,11 +735,11 @@ class Pipeline:
                 systems.append((name, channel, kg_model, tuned[name]))
             reports: list[MetricReport] = []
             for name, channel, kg_model, lam in systems:
-                run = run_from_rankings(name, {
-                    cl.query_id: fuse(lam, cl) for cl in
-                    self._candidate_lists(records, corpus, channel, kg_model)})
-                write_run(run, out / f"run_{name}.txt")
-                reports.append(evaluate_run(name, run.ranking_ids(), qrels))
+                fused = {cl.query_id: fuse(lam, cl) for cl in
+                         self._candidate_lists(records, corpus, channel, kg_model)}
+                write_run(name, fused, out / f"run_{name}.txt")
+                reports.append(evaluate_run(name, {
+                    q: [d for d, _ in entries] for q, entries in fused.items()}, qrels))
             pvals = {}
             by_name = {r.name: r for r in reports}
             for a, *_ in systems[1:]:
@@ -803,27 +798,29 @@ class Pipeline:
             # Train (or reuse) every variant first, then compare them under one
             # set of fusion weights tuned on the full configuration; re-tuning
             # per variant would fold validation noise into the node-type effect.
-            main_kg = dataclasses.asdict(self._kg_config())
+            main_kg = self._kg_config()
             config = self._kg_train_config()
-            main_model = self.workdir / "kg_embed" / config.model / "entities.bin"
+            kg_configs = [(label, self._kg_config(overrides))
+                          for label, overrides in self.ABLATION_VARIANTS]
+            # a variant identical to the configured KG reuses its model, read
+            # before any variant trains so that a stale one fails at once
+            main_emb = (self._load_kg_embeddings(config.model,
+                                                 self._kg_catalog(corpus))
+                        if any(kg == main_kg for _, kg in kg_configs) else None)
             variants = []
-            for label, overrides in self.ABLATION_VARIANTS:
-                kg_config = self._kg_config(overrides)
+            for label, kg_config in kg_configs:
+                if kg_config == main_kg:
+                    variants.append((label, main_emb, None))
+                    continue
                 variant_dir = out / label.replace("+", "plus_")
-                variant_dir.mkdir(parents=True, exist_ok=True)
+                variant_dir.mkdir(exist_ok=True)
                 catalog = build_catalog(corpus, authors, kg_config)
-                n_triples = None
-                if dataclasses.asdict(kg_config) == main_kg and main_model.exists():
-                    # identical to the fully configured model: reuse it
-                    emb = self._load_kg_embeddings(config.model, catalog)
-                else:
-                    triples = build_kg(train_view, authors, catalog, kg_config)
-                    save_triples(triples, catalog, variant_dir / "triples.tsv")
-                    emb = train_kg(triples, store, catalog, config)
-                    save_kg_embeddings(emb, variant_dir / "entities.bin",
-                                       variant_dir / "entities.manifest.txt")
-                    n_triples = len(triples)
-                variants.append((label, emb, n_triples))
+                triples = build_kg(train_view, authors, catalog, kg_config)
+                save_triples(triples, catalog, variant_dir / "triples.tsv")
+                emb = train_kg(triples, store, catalog, config)
+                save_kg_embeddings(emb, variant_dir / "entities.bin",
+                                   variant_dir / "entities.manifest.txt")
+                variants.append((label, emb, len(triples)))
 
             lam, _ = tune_lambdas(self._candidate_lists(
                 val_records, corpus, "kg", kg_emb=variants[-1][1]), val_qrels, step)
@@ -848,8 +845,7 @@ class Pipeline:
             ref_report = evaluate_run("no-kg (two-stage)", rankings, test_qrels)
             results["no-kg"] = {"lambdas": dataclasses.asdict(lam_ref),
                                 "metrics": ref_report.means}
-            table = ablation_report(rows,
-                                    reference=(ref_report.name, ref_report.means))
+            table = ablation_report(rows + [(ref_report.name, ref_report.means)])
             (out / "ablation.txt").write_text(table, encoding="utf-8")
             (out / "ablation.json").write_text(
                 json.dumps(results, indent=2, sort_keys=True) + "\n",

@@ -83,6 +83,35 @@ def frozen_retrieve_topk(index, query_tokens, k, k1=0.9, b=0.4, allowed=None):
     return [(int(o), float(scores[o])) for o in order[:k]]
 
 
+def frozen_union_qrels(corpus, index, queries, depth=100):
+    """query_id -> relevant doc ids under the earlier union rule.
+
+    A frozen copy of the rule ``splits`` once applied to every training
+    query: the source paper's citations published before the query's year,
+    plus the BM25 top-``depth`` of the source title among those earlier
+    documents, minus the source itself. Queries with neither are absent.
+    """
+    from acadsearch.lexical_index import tokenize
+    years = np.asarray([corpus.get(d).year for d in index.doc_ids])
+    qrels = {}
+    for q in queries:
+        relevant = set()
+        source = corpus.get(q.source_doc_id) if (
+            q.source_doc_id and q.source_doc_id in corpus) else None
+        if source is not None:
+            for ref in source.references:
+                if ref in corpus and corpus.get(ref).year < q.year:
+                    relevant.add(ref)
+        title = source.title if source is not None else q.text
+        hits = frozen_retrieve_topk(index, tokenize(title), depth,
+                                    allowed=years < q.year)
+        relevant.update(index.doc_ids[o] for o, _ in hits)
+        relevant.discard(q.source_doc_id)
+        if relevant:
+            qrels[q.query_id] = relevant
+    return qrels
+
+
 def reference_pagerank(n, edges, alpha=0.85, iterations=10000, tol=1e-14):
     """Dense-matrix power iteration run (effectively) to convergence."""
     out_deg = [0] * n

@@ -194,3 +194,30 @@ def test_invalid_utf8_names_file_and_line(tmp_path, name, line, load):
     with pytest.raises(DataFormatError,
                        match=f"{path}: invalid UTF-8 on line 20002 "):
         load(path)
+
+
+@pytest.mark.parametrize("name, text, load", [
+    pytest.param("qrels.txt", "q1 0 dé1 1\nq1 0 d2 1\nqü2 0 d3 0\n",
+                 load_qrels, id="qrels"),
+    pytest.param("run.txt", "q1 Q0 dé1 1 0.9 fused\nq1 Q0 d2 2 0.5 fused\n"
+                 "qü2 Q0 d3 1 1.5e-05 fused\n", read_run, id="run"),
+])
+def test_every_prefix_loads_or_names_the_file(tmp_path, name, text, load):
+    """A file cut at any byte, also inside a multi-byte character, either
+    loads or raises DataFormatError naming the file; nothing else escapes."""
+    data = text.encode("utf-8")
+    path = tmp_path / name
+    outcomes = set()
+    for n in range(len(data) + 1):
+        path.write_bytes(data[:n])
+        try:
+            load(path)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{path}: "), (n, str(exc))
+            outcomes.add("rejected")
+        else:
+            outcomes.add("loaded")
+    assert outcomes == {"loaded", "rejected"}
+    path.write_bytes(data[:data.index("é".encode()) + 1])
+    with pytest.raises(DataFormatError, match=f"{path}: invalid UTF-8"):
+        load(path)

@@ -4,8 +4,9 @@ import pytest
 from acadsearch.corpus import (build_qrels, chronological_split, make_queries,
                                make_query, query_from_doc)
 from acadsearch.corpus.model import Author, Corpus, Document
-from acadsearch.errors import ConfigError, SplitError
+from acadsearch.errors import SplitError
 from acadsearch.lexical_index import build_index, retrieve_topk, tokenize
+from oracles import frozen_union_qrels
 
 
 @pytest.fixture
@@ -62,66 +63,115 @@ def test_make_queries_counts_skips(mini_corpus):
     assert len(queries) == 5 and skipped == 0
 
 
-def test_build_qrels_train_union(mini_corpus):
-    index = build_index(mini_corpus)
-    queries, _ = make_queries(mini_corpus, [mini_corpus.ordinal("d4")])
-    qrels, dropped = build_qrels(mini_corpus, index, queries, "train", depth=100)
-    relevant = qrels.relevant(queries[0].query_id)
-    # citations d1, d3 plus BM25 hits on the exact title, self excluded
-    assert {"d1", "d3"} <= relevant
-    assert "d4" not in relevant
-    assert not dropped
-    # everything in the qrels is retrievable under the time-aware pool
-    for doc_id in relevant:
-        assert mini_corpus.get(doc_id).year < queries[0].year
+@pytest.fixture
+def qrels_corpus(mini_corpus):
+    """mini_corpus plus d6, an earlier paper d4 does not cite although d4's
+    title hits it, and d7, a 2017 paper that cites nothing."""
+    docs = list(mini_corpus.docs) + [
+        Document("d6", "vector retrieval benchmarks", "benchmarks for search",
+                 ["u2"], "v1", 2016, []),
+        Document("d7", "vector retrieval for users", "users and search",
+                 ["u3"], "v1", 2017, []),
+    ]
+    return Corpus(docs, list(mini_corpus.authors.values()))
 
 
-def test_build_qrels_test_citations_only(mini_corpus):
-    index = build_index(mini_corpus)
-    queries, _ = make_queries(mini_corpus, [mini_corpus.ordinal("d4")])
-    qrels, _ = build_qrels(mini_corpus, index, queries, "test")
-    assert qrels.relevant(queries[0].query_id) == frozenset({"d1", "d3"})
-    union, _ = build_qrels(mini_corpus, index, queries, "test", test_union=True)
-    assert union.relevant(queries[0].query_id) >= frozenset({"d1", "d3"})
+def _title_hits(corpus, index, doc_id, k=100):
+    """BM25 top-k doc ids of a document's title among earlier documents."""
+    year = corpus.get(doc_id).year
+    allowed = np.asarray([corpus.get(d).year for d in index.doc_ids]) < year
+    hits = retrieve_topk(index, tokenize(corpus.get(doc_id).title), k,
+                         allowed=allowed)
+    return {index.doc_ids[o] for o, _ in hits}
+
+
+def test_build_qrels_cited_query_takes_only_its_citations(qrels_corpus):
+    index = build_index(qrels_corpus)
+    queries, _ = make_queries(qrels_corpus, [qrels_corpus.ordinal("d4")])
+    assert "d6" in _title_hits(qrels_corpus, index, "d4")
+    for fallback in (False, True):
+        qrels, dropped = build_qrels(qrels_corpus, index, queries,
+                                     bm25_fallback=fallback)
+        assert qrels.relevant(queries[0].query_id) == frozenset({"d1", "d3"})
+        assert not dropped
+
+
+def test_build_qrels_uncited_query_takes_the_bm25_fallback(qrels_corpus):
+    index = build_index(qrels_corpus)
+    queries, _ = make_queries(qrels_corpus, [qrels_corpus.ordinal("d7")])
+    qid = queries[0].query_id
+    qrels, dropped = build_qrels(qrels_corpus, index, queries, bm25_fallback=True)
+    hits = _title_hits(qrels_corpus, index, "d7")
+    assert {"d1", "d3", "d6"} <= hits
+    assert qrels.relevant(qid) == hits and not dropped
+    # the fallback keeps to the depth and to documents before the query year
+    qrels, _ = build_qrels(qrels_corpus, index, queries, bm25_fallback=True,
+                           depth=2)
+    assert qrels.relevant(qid) == _title_hits(qrels_corpus, index, "d7", k=2)
+    assert len(qrels.relevant(qid)) == 2
+    assert "d4" not in hits and "d5" not in hits and "d7" not in hits
+    qrels, dropped = build_qrels(qrels_corpus, index, queries)
+    assert dropped == [qid] and qid not in qrels
 
 
 def test_build_qrels_drops_empty(mini_corpus):
     index = build_index(mini_corpus)
-    # d2 has no references; restrict relevance to citations only
+    # d2 has no references and no earlier documents to fall back on
     queries, _ = make_queries(mini_corpus, [mini_corpus.ordinal("d2")])
-    qrels, dropped = build_qrels(mini_corpus, index, queries, "test")
-    assert dropped == [queries[0].query_id]
-    assert queries[0].query_id not in qrels
+    for fallback in (False, True):
+        qrels, dropped = build_qrels(mini_corpus, index, queries,
+                                     bm25_fallback=fallback)
+        assert dropped == [queries[0].query_id]
+        assert queries[0].query_id not in qrels
 
 
-def test_build_qrels_mode_validation(mini_corpus):
+def test_build_qrels_options_are_keyword_only(mini_corpus):
     index = build_index(mini_corpus)
-    with pytest.raises(ConfigError):
-        build_qrels(mini_corpus, index, [], "validation")
+    with pytest.raises(TypeError):
+        build_qrels(mini_corpus, index, [], True)
 
 
 def test_no_leakage_on_synthetic(small_synth):
-    """Test-mode qrels only contain docs published before the query year."""
+    """Qrels only contain docs published before the query year."""
     _, corpus, _ = small_synth
     index = build_index(corpus)
     train, test_queries = chronological_split(corpus, 2016)
-    qrels, _ = build_qrels(corpus, index, test_queries[:50], "test")
     years = np.asarray([corpus.get(d).year for d in index.doc_ids])
     by_query = {q.query_id: q for q in test_queries}
-    for qid, relevant in qrels.items():
-        q = by_query[qid]
-        allowed = years < q.year
-        retrievable = {index.doc_ids[o] for o in np.flatnonzero(allowed)}
-        assert relevant <= retrievable
+    for fallback in (False, True):
+        qrels, _ = build_qrels(corpus, index, test_queries[:50],
+                               bm25_fallback=fallback)
+        for qid, relevant in qrels.items():
+            q = by_query[qid]
+            allowed = years < q.year
+            retrievable = {index.doc_ids[o] for o in np.flatnonzero(allowed)}
+            assert relevant <= retrievable
 
 
-def test_union_includes_bm25_hits(mini_corpus):
-    index = build_index(mini_corpus)
-    queries, _ = make_queries(mini_corpus, [mini_corpus.ordinal("d4")])
-    q = queries[0]
-    allowed = np.asarray([mini_corpus.get(d).year for d in index.doc_ids]) < q.year
-    hits = retrieve_topk(index, tokenize(mini_corpus.get("d4").title), 100,
-                         allowed=allowed)
-    hit_ids = {index.doc_ids[o] for o, _ in hits} - {"d4"}
-    qrels, _ = build_qrels(mini_corpus, index, queries, "train")
-    assert hit_ids <= qrels.relevant(q.query_id)
+def _positives(corpus, q, relevant, cap=3):
+    """The encoder's positives as ``train-dense`` picks them: cited first."""
+    source = corpus.get(q.source_doc_id)
+    cited = [r for r in source.references if r in relevant]
+    return cited[:cap] if cited else sorted(relevant)[:cap]
+
+
+def test_training_positives_match_the_union_rule(small_synth):
+    """Every training query keeps the positives, and the drops, it had
+    under the earlier union of citations and BM25 hits."""
+    _, corpus, _ = small_synth
+    index = build_index(corpus)
+    train, _ = chronological_split(corpus, 2016)
+    queries, _ = make_queries(corpus, train.ordinals)
+    union = frozen_union_qrels(corpus, index, queries)
+    qrels, dropped = build_qrels(corpus, index, queries, bm25_fallback=True)
+    assert set(dropped) == {q.query_id for q in queries} - set(union)
+    uncited = 0
+    for q in queries:
+        if q.query_id not in union:
+            continue
+        relevant = qrels.relevant(q.query_id)
+        assert (_positives(corpus, q, relevant)
+                == _positives(corpus, q, union[q.query_id])), q.query_id
+        uncited += not set(corpus.get(q.source_doc_id).references) & relevant
+    # both branches of the rule are taken
+    assert 0 < uncited < len(union)

@@ -7,13 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from acadsearch import fusion_eval
 from acadsearch.corpus.model import QrelSet
 from acadsearch.errors import ConfigError, DataFormatError
-from acadsearch.fusion_eval import (CandidateList, Lambdas, RunFile,
-                                    ablation_report, evaluate_run, fuse,
-                                    lambda_grid, map_at_k, metrics_table,
-                                    minmax_normalize, mrr_at_k, ndcg_at_k,
-                                    normalize_channels, read_run,
-                                    run_from_rankings, significance_test,
-                                    tune_lambdas, write_run)
+from acadsearch.fusion_eval import (CandidateList, Lambdas, ablation_report,
+                                    evaluate_run, fuse, lambda_grid, map_at_k,
+                                    metrics_table, minmax_normalize, mrr_at_k,
+                                    ndcg_at_k, normalize_channels, read_run,
+                                    significance_test, tune_lambdas, write_run)
 from oracles import (naive_grid_map, naive_map_at_k, naive_mrr_at_k,
                      naive_ndcg_at_k, naive_significance_test)
 
@@ -296,33 +294,40 @@ def test_significance_matches_per_permutation_oracle(pairs, permutations, seed):
 
 def test_run_file_roundtrip(tmp_path):
     fused = {"q1": [("d2", 0.9), ("d1", 0.4)], "q2": [("d3", 1.0)]}
-    run = run_from_rankings("sys", fused)
     path = tmp_path / "run.txt"
-    write_run(run, path)
+    write_run("sys", fused, path)
     line = path.read_text().splitlines()[0].split()
     assert line == ["q1", "Q0", "d2", "1", "0.9", "sys"]
     loaded = read_run(path)
-    assert loaded.rankings == run.rankings
+    assert loaded.rankings == {"q1": [("d2", 0.9, 1), ("d1", 0.4, 2)],
+                               "q2": [("d3", 1.0, 1)]}
+    assert loaded.ranking_ids() == {"q1": ["d2", "d1"], "q2": ["d3"]}
     assert loaded.name == "sys"
 
 
 def test_run_file_validation(tmp_path):
-    bad = RunFile("x", {"q1": [("d1", 1.0, 1), ("d2", 0.5, 3)]})
-    with pytest.raises(DataFormatError, match="contiguous"):
-        write_run(bad, tmp_path / "r.txt")
-    increasing = RunFile("x", {"q1": [("d1", 0.2, 1), ("d2", 0.5, 2)]})
-    with pytest.raises(DataFormatError, match="increase"):
-        write_run(increasing, tmp_path / "r.txt")
     path = tmp_path / "malformed.txt"
     path.write_text("q1 Q0 d1 1 0.5 tag\nq1 Q0 d2 2\n")
     with pytest.raises(DataFormatError, match="line 2"):
         read_run(path)
 
 
-def test_run_score_formatting_six_significant_digits(tmp_path):
-    run = run_from_rankings("t", {"q": [("d1", 0.123456789), ("d2", 0.0000123456789)]})
+@pytest.mark.parametrize("text, problem", [
+    pytest.param("q1 Q0 d1 1 1.0 x\nq1 Q0 d2 3 0.5 x\n",
+                 "ranks are not contiguous", id="rank-gap"),
+    pytest.param("q1 Q0 d1 1 0.2 x\nq1 Q0 d2 2 0.5 x\n",
+                 "scores increase", id="increasing-scores"),
+])
+def test_read_run_rejects_bad_rankings_naming_the_file(tmp_path, text, problem):
     path = tmp_path / "run.txt"
-    write_run(run, path)
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=f"{path}: q1: {problem}"):
+        read_run(path)
+
+
+def test_run_score_formatting_six_significant_digits(tmp_path):
+    path = tmp_path / "run.txt"
+    write_run("t", {"q": [("d1", 0.123456789), ("d2", 0.0000123456789)]}, path)
     lines = path.read_text().splitlines()
     assert lines[0].split()[4] == "0.123457"
     assert lines[1].split()[4] == "1.23457e-05"
@@ -334,12 +339,11 @@ def test_run_file_bytes_match_per_line_writes(tmp_path):
               -2.5e-300]
     fused = {"q10": [(f"d{i}", s) for i, s in enumerate(scores)],
              "q2": [("x", 0.25)], "q1": [], "Q0": [("d9", 7.0), ("d8", 7.0)]}
-    run = run_from_rankings("fused_transh", fused)
     path = tmp_path / "run.txt"
-    write_run(run, path)
-    expected = "".join(f"{qid} Q0 {doc_id} {rank} {score:.6g} {run.name}\n"
-                       for qid in sorted(run.rankings)
-                       for doc_id, score, rank in run.rankings[qid])
+    write_run("fused_transh", fused, path)
+    expected = "".join(f"{qid} Q0 {doc_id} {rank} {score:.6g} fused_transh\n"
+                       for qid in sorted(fused)
+                       for rank, (doc_id, score) in enumerate(fused[qid], 1))
     assert path.read_bytes() == expected.encode("utf-8")
     assert " 1e-07 " in expected and " 0 " in expected and " -0 " in expected
     assert " 1.23457e+08 " in expected
@@ -370,8 +374,7 @@ def test_reports_format():
     table = metrics_table([report])
     assert "sys_a" in table and "map@100" in table
     ab = ablation_report([("user-only", report.means), ("+venue", report.means),
-                          ("+affiliation", report.means)],
-                         reference=("no-kg", report.means))
+                          ("+affiliation", report.means), ("no-kg", report.means)])
     lines = ab.strip().splitlines()
     assert lines[1].startswith("user-only")
     assert lines[2].startswith("+venue")

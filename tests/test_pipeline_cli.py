@@ -795,10 +795,34 @@ def test_cli_transe_system_comes_from_config(tiny_run, tmp_path, capsys):
 
 def test_cli_removed_corruption_key_is_unknown(tmp_path, capsys):
     for key, value in (("kg_train.corruption", "uniform"),
-                       ("kg_train.negatives", "1")):
+                       ("kg_train.negatives", "1"),
+                       ("split.test_union_qrels", "false")):
         assert main(["--workdir", str(tmp_path / "w"), "--quiet",
                      "--set", f"{key}={value}", "train-kg"]) == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_ablate_on_a_stale_kg_model_trains_nothing(tiny_run, tmp_path,
+                                                   monkeypatch):
+    """ablate reads the configured KG model before it trains any variant,
+    so a stale model stops it at once."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    triples = workdir / "kg" / "triples.tsv"
+    lines = triples.read_text().splitlines(keepends=True)
+    triples.write_text("".join(lines[:-1]))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained a KG variant")
+
+    monkeypatch.setattr(pipeline_mod, "train_kg", no_training)
+    with pytest.raises(StaleArtifactError, match="re-run `train-kg`"):
+        Pipeline(tiny_cfg(workdir)).stage_ablate()
+
+
+def test_ablate_makes_directories_only_for_trained_variants(tiny_run):
+    _, workdir = tiny_run
+    assert sorted(p.name for p in (workdir / "ablate").iterdir()
+                  if p.is_dir()) == ["plus_venue", "user-only"]
 
 
 def _crafted_records(corpus, contexts, kg_emb, cutoff):

@@ -20,6 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "acadsearch"
 ALLOWED = {
     "kg_user_score": "perfbench/spans.py traces it by name",
     "read_run": "perfbench/workloads.py reads the eval runs with it",
+    "ranking_ids": "perfbench/workloads.py reads the eval runs' doc ids with it",
 }
 
 
