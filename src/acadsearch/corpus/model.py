@@ -109,6 +109,10 @@ class Corpus:
     def view(self, ordinals: list[int]) -> "CorpusView":
         return CorpusView(self, tuple(ordinals))
 
+    def before(self, year: int) -> "CorpusView":
+        """The documents published before ``year``, in ordinal order."""
+        return self.view([i for i, d in enumerate(self.docs) if d.year < year])
+
 
 @dataclass(frozen=True)
 class CorpusView:

@@ -52,7 +52,7 @@ def make_queries(corpus: Corpus, ordinals) -> tuple[list[Query], int]:
 def chronological_split(corpus: Corpus, cutoff_year: int
                         ) -> tuple[CorpusView, list[Query]]:
     """Train view (year < cutoff) and test queries from the remaining docs."""
-    train = [i for i, d in enumerate(corpus.docs) if d.year < cutoff_year]
+    train = corpus.before(cutoff_year)
     test = [i for i, d in enumerate(corpus.docs) if d.year >= cutoff_year]
     if not train:
         raise SplitError(f"cutoff {cutoff_year} leaves an empty training partition")
@@ -61,7 +61,7 @@ def chronological_split(corpus: Corpus, cutoff_year: int
     queries, skipped = make_queries(corpus, test)
     if skipped:
         log.info("split: skipped %d test docs (empty query or no authors)", skipped)
-    return corpus.view(train), queries
+    return train, queries
 
 
 def build_qrels(corpus: Corpus, index: InvertedIndex, queries: list[Query], *,

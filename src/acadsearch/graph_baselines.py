@@ -35,11 +35,9 @@ class CitationGraph:
         self.out_degree = np.bincount(self.src, minlength=self.n)
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus, cutoff_year: int | None = None
-                    ) -> "CitationGraph":
+    def from_corpus(cls, corpus: Corpus, cutoff_year: int) -> "CitationGraph":
         """Edge d -> d' iff d references d'; restricted to pre-cutoff docs."""
-        keep = [i for i, d in enumerate(corpus.docs)
-                if cutoff_year is None or d.year < cutoff_year]
+        keep = corpus.before(cutoff_year).ordinals
         kept = set(keep)
         edges = []
         for i in keep:

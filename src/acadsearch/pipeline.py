@@ -82,7 +82,12 @@ DEFAULT_CONFIG: dict = {
 }
 
 # stage name -> (workdir subdirectory, config sections its manifest hashes);
-# train-kg writes one subdirectory per KG model under its own
+# train-kg writes one subdirectory per KG model under its own. A stage hashes
+# every section its own code reads. A freshness check looks one level deep,
+# at the manifest of the directory read, so a stage also hashes the sections
+# that decide the upstream files it reads: `split` in train-dense and
+# build-kg, `encoder` in embed (without it, a `mean`-channel tune would run
+# on the old embeddings after an encoder change).
 STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
     "synth": ("corpus", ("seed", "synth")),
     "ingest": ("corpus", ("paths",)),
@@ -91,15 +96,17 @@ STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
     "train-dense": ("dense", ("seed", "encoder", "split")),
     "embed": ("embed", ("encoder",)),
     "build-kg": ("kg", ("split", "kg")),
-    "train-kg": ("kg_embed", ("seed", "kg_train")),
+    "train-kg": ("kg_embed", ("seed", "kg", "kg_train")),
     "score": ("score", ("bm25",)),
-    "tune": ("tune", ("fusion",)),
-    "eval": ("eval", ("seed", "eval", "fusion")),
+    "tune": ("tune", ("fusion", "kg", "kg_train")),
+    "eval": ("eval", ("seed", "eval", "fusion", "kg", "kg_train")),
     "ablate": ("ablate", ("seed", "kg", "kg_train", "fusion", "eval")),
 }
 
 # a manifest of any other version lists an incomplete set of inputs
 MANIFEST_VERSION = 2
+
+CORPUS_FILES = ("corpus/corpus.jsonl", "corpus/authors.jsonl")
 
 
 def _merge(dst: dict, src: dict, prefix: str = "") -> None:
@@ -266,6 +273,19 @@ def _load_candidates(path: Path, corpus) -> list[dict]:
     return records
 
 
+def _write_train_log(path: Path, losses: list[float]) -> None:
+    path.write_text("".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
+                            for i, loss in enumerate(losses)), encoding="utf-8")
+
+
+def _fuse_and_evaluate(name: str, lam: Lambdas, lists: list[CandidateList],
+                       qrels) -> tuple[dict, MetricReport]:
+    """Each list fused under ``lam``, and the report of that run."""
+    fused = {cl.query_id: fuse(lam, cl) for cl in lists}
+    return fused, evaluate_run(name, {q: [d for d, _ in entries]
+                                      for q, entries in fused.items()}, qrels)
+
+
 def _producers(dir_rel: str) -> str:
     """The stage(s) that write ``dir_rel``, for 'run ... first' messages."""
     top = dir_rel.split("/")[0]
@@ -407,24 +427,16 @@ class Pipeline:
                  report.documents, report.self_references_dropped,
                  report.dangling_references_dropped)
 
-    def _corpus_key(self) -> tuple[str, str | None]:
-        """Digests of the corpus files, each read through _input; None for
-        a workdir without authors.jsonl."""
-        corpus_file = "corpus/corpus.jsonl"
-        authors_file = "corpus/authors.jsonl"
-        self._input(corpus_file)
-        if not (self.workdir / authors_file).exists():
-            return self._digest(corpus_file), None
-        self._input(authors_file)
-        return self._digest(corpus_file), self._digest(authors_file)
+    def _corpus_key(self) -> tuple[str, ...]:
+        """Digests of the corpus files, each read through _input."""
+        for rel in CORPUS_FILES:
+            self._input(rel)
+        return tuple(self._digest(rel) for rel in CORPUS_FILES)
 
     def _load_corpus(self):
         """The workdir corpus, parsed once per process for each content."""
-        key = self._corpus_key()
-        corpus_dir = self.workdir / "corpus"
-        return _memoized("corpus", key, lambda: corpus_mod.load_corpus(
-            corpus_dir / "corpus.jsonl",
-            corpus_dir / "authors.jsonl" if key[1] else None)[0])
+        return _memoized("corpus", self._corpus_key(), lambda: corpus_mod.load_corpus(
+            *(self.workdir / rel for rel in CORPUS_FILES))[0])
 
     # -- index -------------------------------------------------------------------
 
@@ -530,9 +542,7 @@ class Pipeline:
                 batch_size=ecfg["batch_size"], margin=ecfg["margin"],
                 seed=self.cfg["seed"], weight_decay=ecfg["weight_decay"])
             encoder.save(out / "encoder.bin")
-            (out / "train_log.txt").write_text(
-                "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
-                        for i, loss in enumerate(losses)), encoding="utf-8")
+            _write_train_log(out / "train_log.txt", losses)
         log.info("train-dense: %d pairs, epoch losses %s", len(pairs),
                  [round(x, 4) for x in losses])
 
@@ -551,30 +561,28 @@ class Pipeline:
 
     # -- knowledge graph ---------------------------------------------------------------
 
-    def _kg_config(self, overrides: dict | None = None) -> KGConfig:
-        merged = dict(self.cfg["kg"])
-        if overrides:
-            merged.update(overrides)
-        return KGConfig(**merged)
+    def _build_kg(self, corpus, kg_config: KGConfig, out: Path):
+        """``kg_config``'s entity catalog and pre-cutoff triples, written to
+        triples.tsv and stats.txt in ``out``; returns (triples, catalog)."""
+        authors = list(corpus.authors.values())
+        catalog = build_catalog(corpus, authors, kg_config)
+        triples = build_kg(corpus.before(self._cutoff_year()), authors, catalog,
+                           kg_config)
+        save_triples(triples, catalog, out / "triples.tsv")
+        (out / "stats.txt").write_text(kg_stats(triples, catalog), encoding="utf-8")
+        return triples, catalog
 
     def stage_build_kg(self) -> None:
         with self._stage("build-kg") as out:
-            corpus = self._load_corpus()
-            catalog = self._kg_catalog(corpus)
-            cutoff = self._cutoff_year()
-            train_view = corpus.view([i for i, d in enumerate(corpus.docs)
-                                      if d.year < cutoff])
-            triples = build_kg(train_view, list(corpus.authors.values()),
-                               catalog, self._kg_config())
-            save_triples(triples, catalog, out / "triples.tsv")
-            (out / "stats.txt").write_text(kg_stats(triples, catalog), encoding="utf-8")
+            triples, _ = self._build_kg(self._load_corpus(),
+                                        KGConfig(**self.cfg["kg"]), out)
         log.info("build-kg: %d triples", len(triples))
 
     def _kg_catalog(self, corpus) -> EntityCatalog:
         """The configured KG's entity catalog, built once per stage call."""
         if self._catalog is None:
-            self._catalog = build_catalog(
-                corpus, list(corpus.authors.values()), self._kg_config())
+            self._catalog = build_catalog(corpus, list(corpus.authors.values()),
+                                          KGConfig(**self.cfg["kg"]))
         return self._catalog
 
     def _kg_train_config(self, model: str | None = None) -> KGTrainConfig:
@@ -583,26 +591,31 @@ class Pipeline:
             kcfg["model"] = model
         return KGTrainConfig(seed=self.cfg["seed"], **kcfg)
 
+    def _train_kg(self, triples, catalog, store, config: KGTrainConfig,
+                  out: Path) -> KGEmbeddings:
+        """``config``'s model trained on ``triples``, written to entities.bin,
+        entities.manifest.txt and train_log.txt in ``out``."""
+        emb = train_kg(triples, store, catalog, config)
+        save_kg_embeddings(emb, out / "entities.bin", out / "entities.manifest.txt")
+        _write_train_log(out / "train_log.txt", emb.epoch_losses)
+        return emb
+
     def stage_train_kg(self, model: str | None = None) -> None:
         config = self._kg_train_config(model)
         with self._stage("train-kg", config.model) as out:
             corpus = self._load_corpus()
             catalog = self._kg_catalog(corpus)
             triples = load_triples(self._input("kg/triples.tsv"), catalog)
-            store = self._doc_embeddings(corpus)
-            emb = train_kg(triples, store, catalog, config)
-            save_kg_embeddings(emb, out / "entities.bin",
-                               out / "entities.manifest.txt")
-            (out / "train_log.txt").write_text(
-                "".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
-                        for i, loss in enumerate(emb.epoch_losses)), encoding="utf-8")
+            emb = self._train_kg(triples, catalog, self._doc_embeddings(corpus),
+                                 config, out)
         log.info("train-kg(%s): %d entities, final loss %.6f", config.model,
                  catalog.total, emb.epoch_losses[-1] if emb.epoch_losses else 0.0)
 
-    def _load_kg_embeddings(self, model: str, catalog):
+    def _load_kg_embeddings(self, model: str, corpus) -> KGEmbeddings:
         return load_kg_embeddings(
             self._input(f"kg_embed/{model}/entities.bin"),
-            self._input(f"kg_embed/{model}/entities.manifest.txt"), catalog)
+            self._input(f"kg_embed/{model}/entities.manifest.txt"),
+            self._kg_catalog(corpus))
 
     # -- scoring -----------------------------------------------------------------------
 
@@ -650,18 +663,13 @@ class Pipeline:
     # -- user channels ------------------------------------------------------------------
 
     def _candidate_lists(self, records: list[dict], corpus, channel: str,
-                         kg_model: str | None = None,
-                         kg_emb: KGEmbeddings | None = None
-                         ) -> list[CandidateList]:
+                         kg: KGEmbeddings | None = None) -> list[CandidateList]:
         """Each record's bm25, dense and ``channel`` user scores, loading what
-        the channel reads; ``kg_emb`` stands in for stored ``kg_model``."""
+        the channel reads; the ``kg`` channel scores with ``kg``."""
         fusion = self.cfg["fusion"]
         inputs = ChannelInputs(corpus, AggregationMode(fusion["aggregation"]),
-                               fusion["user_metric"], kg=kg_emb)
-        if channel == "kg" and kg_emb is None:
-            inputs.kg = self._load_kg_embeddings(kg_model,
-                                                 self._kg_catalog(corpus))
-        elif channel in ("mean", "attention", "selfcite"):
+                               fusion["user_metric"], kg=kg)
+        if channel in ("mean", "attention", "selfcite"):
             inputs.contexts = build_user_contexts(corpus, self._cutoff_year())
             if channel != "selfcite":
                 inputs.store = self._doc_embeddings(corpus)
@@ -685,17 +693,22 @@ class Pipeline:
                 and self.cfg["fusion"]["include_transe"]
                 and self.cfg["kg_train"]["model"] != "transe")
 
-    def _systems(self) -> list[tuple[str, str, str | None]]:
-        """(system name, user channel, kg model) to tune and evaluate."""
-        systems: list[tuple[str, str, str | None]] = [("two_stage", "none", None)]
+    def _systems(self, records: list[dict], corpus
+                 ) -> list[tuple[str, str, list[CandidateList]]]:
+        """(system name, user channel, candidate lists) to tune and evaluate.
+        Every list is built, and so every input read, before any is used."""
+        systems = [("two_stage", "none",
+                    self._candidate_lists(records, corpus, "none"))]
         channel = self.cfg["fusion"]["user_channel"]
         if channel == "kg":
-            main = self.cfg["kg_train"]["model"]
-            systems.append((f"fused_{main}", "kg", main))
-            if self._with_transe():
-                systems.append(("fused_transe", "kg", "transe"))
+            models = ([self.cfg["kg_train"]["model"]]
+                      + (["transe"] if self._with_transe() else []))
+            systems += [(f"fused_{m}", "kg", self._candidate_lists(
+                records, corpus, "kg", self._load_kg_embeddings(m, corpus)))
+                for m in models]
         elif channel != "none":
-            systems.append((f"fused_{channel}", channel, None))
+            systems.append((f"fused_{channel}", channel,
+                            self._candidate_lists(records, corpus, channel)))
         return systems
 
     def stage_tune(self) -> None:
@@ -704,10 +717,9 @@ class Pipeline:
             qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
             step = self.cfg["fusion"]["grid_step"]
             lambdas: dict[str, dict] = {}
-            for name, channel, kg_model in self._systems():
+            for name, channel, lists in self._systems(records, corpus):
                 lam, grid_text = tune_lambdas(
-                    self._candidate_lists(records, corpus, channel, kg_model),
-                    qrels, step, fix_user_zero=(channel == "none"))
+                    lists, qrels, step, fix_user_zero=(channel == "none"))
                 lambdas[name] = dataclasses.asdict(lam)
                 (out / f"grid_{name}.txt").write_text(grid_text, encoding="utf-8")
                 log.info("tune %s: %s", name, lambdas[name])
@@ -727,22 +739,22 @@ class Pipeline:
                 except (TypeError, ConfigError) as exc:
                     raise DataFormatError(f"{lambdas_path}: bad fusion weights "
                                           f"for {name!r}: {exc}") from None
-            systems = [("bm25", "none", None, Lambdas(1.0, 0.0, 0.0))]
-            for name, channel, kg_model in self._systems():
+            systems = self._systems(records, corpus)
+            # bm25 alone ranks the two-stage candidates by their bm25 score
+            runs = [("bm25", Lambdas(1.0, 0.0, 0.0), systems[0][2])]
+            for name, _, lists in systems:
                 if name not in tuned:
                     raise DataFormatError(f"{lambdas_path}: no fusion weights "
                                           f"for {name!r}; re-run `tune`")
-                systems.append((name, channel, kg_model, tuned[name]))
+                runs.append((name, tuned[name], lists))
             reports: list[MetricReport] = []
-            for name, channel, kg_model, lam in systems:
-                fused = {cl.query_id: fuse(lam, cl) for cl in
-                         self._candidate_lists(records, corpus, channel, kg_model)}
+            for name, lam, lists in runs:
+                fused, report = _fuse_and_evaluate(name, lam, lists, qrels)
                 write_run(name, fused, out / f"run_{name}.txt")
-                reports.append(evaluate_run(name, {
-                    q: [d for d, _ in entries] for q, entries in fused.items()}, qrels))
+                reports.append(report)
             pvals = {}
             by_name = {r.name: r for r in reports}
-            for a, *_ in systems[1:]:
+            for a, _, _ in runs[1:]:
                 b = "bm25" if a == "two_stage" else "two_stage"
                 qa = by_name[a].per_query["map@100"]
                 qb = by_name[b].per_query["map@100"]
@@ -789,23 +801,18 @@ class Pipeline:
             store = self._doc_embeddings(corpus)
             val_qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
             test_qrels = corpus_mod.load_qrels(self._input("splits/test_qrels.txt"))
-            authors = list(corpus.authors.values())
-            cutoff = self._cutoff_year()
             step = self.cfg["fusion"]["grid_step"]
-            train_view = corpus.view([i for i, d in enumerate(corpus.docs)
-                                      if d.year < cutoff])
 
             # Train (or reuse) every variant first, then compare them under one
             # set of fusion weights tuned on the full configuration; re-tuning
             # per variant would fold validation noise into the node-type effect.
-            main_kg = self._kg_config()
+            main_kg = KGConfig(**self.cfg["kg"])
             config = self._kg_train_config()
-            kg_configs = [(label, self._kg_config(overrides))
+            kg_configs = [(label, dataclasses.replace(main_kg, **overrides))
                           for label, overrides in self.ABLATION_VARIANTS]
             # a variant identical to the configured KG reuses its model, read
             # before any variant trains so that a stale one fails at once
-            main_emb = (self._load_kg_embeddings(config.model,
-                                                 self._kg_catalog(corpus))
+            main_emb = (self._load_kg_embeddings(config.model, corpus)
                         if any(kg == main_kg for _, kg in kg_configs) else None)
             variants = []
             for label, kg_config in kg_configs:
@@ -814,24 +821,17 @@ class Pipeline:
                     continue
                 variant_dir = out / label.replace("+", "plus_")
                 variant_dir.mkdir(exist_ok=True)
-                catalog = build_catalog(corpus, authors, kg_config)
-                triples = build_kg(train_view, authors, catalog, kg_config)
-                save_triples(triples, catalog, variant_dir / "triples.tsv")
-                emb = train_kg(triples, store, catalog, config)
-                save_kg_embeddings(emb, variant_dir / "entities.bin",
-                                   variant_dir / "entities.manifest.txt")
+                triples, catalog = self._build_kg(corpus, kg_config, variant_dir)
+                emb = self._train_kg(triples, catalog, store, config, variant_dir)
                 variants.append((label, emb, len(triples)))
 
             lam, _ = tune_lambdas(self._candidate_lists(
-                val_records, corpus, "kg", kg_emb=variants[-1][1]), val_qrels, step)
+                val_records, corpus, "kg", variants[-1][1]), val_qrels, step)
             rows = []
             results = {"shared_lambdas": dataclasses.asdict(lam)}
             for label, emb, n_triples in variants:
-                rankings = {
-                    cl.query_id: [d for d, _ in fuse(lam, cl)]
-                    for cl in self._candidate_lists(test_records, corpus, "kg",
-                                                    kg_emb=emb)}
-                report = evaluate_run(label, rankings, test_qrels)
+                _, report = _fuse_and_evaluate(label, lam, self._candidate_lists(
+                    test_records, corpus, "kg", emb), test_qrels)
                 rows.append((label, report.means))
                 results[label] = {"metrics": report.means, "triples": n_triples}
                 log.info("ablate %s: %s", label, report.means)
@@ -839,10 +839,9 @@ class Pipeline:
             lam_ref, _ = tune_lambdas(
                 self._candidate_lists(val_records, corpus, "none"),
                 val_qrels, step, fix_user_zero=True)
-            rankings = {cl.query_id: [d for d, _ in fuse(lam_ref, cl)]
-                        for cl in self._candidate_lists(test_records, corpus,
-                                                        "none")}
-            ref_report = evaluate_run("no-kg (two-stage)", rankings, test_qrels)
+            _, ref_report = _fuse_and_evaluate(
+                "no-kg (two-stage)", lam_ref,
+                self._candidate_lists(test_records, corpus, "none"), test_qrels)
             results["no-kg"] = {"lambdas": dataclasses.asdict(lam_ref),
                                 "metrics": ref_report.means}
             table = ablation_report(rows + [(ref_report.name, ref_report.means)])

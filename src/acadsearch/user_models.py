@@ -38,9 +38,7 @@ class UserContext:
 def build_user_contexts(corpus: Corpus, cutoff_year: int) -> dict[str, UserContext]:
     authored: dict[str, list[int]] = {}
     coauthors: dict[str, set[str]] = {}
-    for i, doc in enumerate(corpus.docs):
-        if doc.year >= cutoff_year:
-            continue
+    for i, doc in corpus.before(cutoff_year).items():
         for u in doc.author_ids:
             authored.setdefault(u, []).append(i)
             others = coauthors.setdefault(u, set())

@@ -83,7 +83,7 @@ def test_from_corpus_respects_cutoff(small_synth):
     graph = CitationGraph.from_corpus(corpus, cutoff_year=2010)
     years = [corpus.doc(int(o)).year for o in graph.ordinals]
     assert all(y < 2010 for y in years)
-    full = CitationGraph.from_corpus(corpus)
+    full = CitationGraph.from_corpus(corpus, max(corpus.years()) + 1)
     assert full.n > graph.n
 
 

@@ -199,6 +199,15 @@ def _move_first_author(workdir, cfg_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
+def _leave_as_is(workdir, cfg_path):
+    pass
+
+
+def _train_transe_as_configured_model(workdir, cfg_path):
+    assert main(["--config", str(cfg_path), "--quiet",
+                 "--set", "kg_train.model=transe", "train-kg"]) == 0
+
+
 _UPSTREAM_EDITS = pytest.mark.parametrize("edit, sets, stage, rerun", [
     pytest.param(_retrain_kg_with_new_lr, ["kg_train.lr=0.01"], "eval", "tune",
                  id="kg-retrained"),
@@ -206,6 +215,10 @@ _UPSTREAM_EDITS = pytest.mark.parametrize("edit, sets, stage, rerun", [
                  id="train-queries-truncated"),
     pytest.param(_move_first_author, [], "train-kg", "build-kg",
                  id="authors-edited"),
+    pytest.param(_leave_as_is, ["kg.include_venue=false"], "tune", "train-kg",
+                 id="kg-config-changed"),
+    pytest.param(_train_transe_as_configured_model, ["kg_train.model=transe"],
+                 "eval", "tune", id="kg-model-changed"),
 ])
 
 
@@ -277,6 +290,26 @@ def _forget_inputs():
     pipeline_mod._memo.clear()
 
 
+class _SectionReads(dict):
+    """A config that records each top-level section read outside the
+    manifest and freshness code."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.sections: set[str] = set()
+
+    def __getitem__(self, key):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in ("_stage", "_check_fresh",
+                                        "stage_config_hash"):
+                break
+            frame = frame.f_back
+        else:
+            self.sections.add(key)
+        return super().__getitem__(key)
+
+
 _AUDITED_CALLS = [(name, {}) for name in STAGES if name != "ingest"] + [
     (name, {"user_channel": channel})
     for channel in ("mean", "attention", "selfcite", "pagerank", "pop")
@@ -285,7 +318,8 @@ _AUDITED_CALLS = [(name, {}) for name in STAGES if name != "ingest"] + [
 
 def _run_audited_calls(cfg, workdir, cold: bool, force: bool):
     """Each audited stage call on ``workdir``, from a cold process state or
-    a warm one: [(call, workdir files it opened, its manifest inputs)]."""
+    a warm one: [(call, workdir files it opened, its manifest inputs,
+    config sections it read)]."""
     _install_audit_hooks()
     out = []
     for name, fusion in _AUDITED_CALLS:
@@ -293,6 +327,7 @@ def _run_audited_calls(cfg, workdir, cold: bool, force: bool):
         changed["paths"]["workdir"] = str(workdir)
         changed["fusion"].update(fusion)
         pipeline = Pipeline(changed, force=force)
+        pipeline.cfg = _SectionReads(changed)
         if cold:
             _forget_inputs()
         opened: set[str] = set()
@@ -303,7 +338,8 @@ def _run_audited_calls(cfg, workdir, cold: bool, force: bool):
             _RECORDING.clear()
         subdir = STAGES[name][0] + ("/transh" if name == "train-kg" else "")
         manifest = json.loads((workdir / subdir / "manifest.json").read_text())
-        out.append(((name, fusion), opened, manifest["inputs"]))
+        out.append(((name, fusion), opened, manifest["inputs"],
+                    pipeline.cfg.sections))
     return out
 
 
@@ -314,11 +350,23 @@ def test_manifest_inputs_are_the_files_each_stage_opens(tiny_run, tmp_path):
     cfg, src_workdir = tiny_run
     workdir = tmp_path / "w"
     shutil.copytree(src_workdir, workdir)
-    for (name, fusion), opened, inputs in _run_audited_calls(
+    for (name, fusion), opened, inputs, _ in _run_audited_calls(
             cfg, workdir, cold=True, force=True):
         reads = {p for p in opened if not p.endswith("/manifest.json")}
         assert reads == set(inputs), (name, fusion)
         assert reads or name == "synth", name
+
+
+def test_stage_config_hashes_cover_the_sections_each_stage_reads(tiny_run,
+                                                                 tmp_path):
+    """Every config section a stage call reads is one its manifest hashes,
+    so a change to it makes the stage's artifacts stale."""
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    for (name, fusion), _, _, sections in _run_audited_calls(
+            cfg, workdir, cold=False, force=True):
+        assert sections <= set(STAGES[name][1]), (name, fusion, sections)
 
 
 def test_warm_stage_calls_record_the_cold_manifest_inputs(tiny_run, tmp_path):
@@ -332,7 +380,7 @@ def test_warm_stage_calls_record_the_cold_manifest_inputs(tiny_run, tmp_path):
     _settle()
     warm = _run_audited_calls(cfg, workdir, cold=False, force=False)
     assert pipeline_mod._memo and pipeline_mod._digest_cache
-    for (call, _, cold_inputs), (_, _, warm_inputs) in zip(cold, warm):
+    for (call, _, cold_inputs, _), (_, _, warm_inputs, _) in zip(cold, warm):
         assert warm_inputs == cold_inputs, call
 
 
@@ -823,6 +871,66 @@ def test_ablate_makes_directories_only_for_trained_variants(tiny_run):
     _, workdir = tiny_run
     assert sorted(p.name for p in (workdir / "ablate").iterdir()
                   if p.is_dir()) == ["plus_venue", "user-only"]
+
+
+def test_ablation_variant_is_what_build_kg_and_train_kg_write(tiny_run, tmp_path):
+    """Every file in ablate/user-only/ equals, byte for byte, what
+    `build-kg` and `train-kg` write under the variant's two kg overrides."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    argv = ["--config", str(cfg_path), "--quiet",
+            "--set", "kg.include_venue=false",
+            "--set", "kg.include_affiliation=false"]
+    assert main(argv + ["build-kg"]) == 0
+    assert main(argv + ["train-kg"]) == 0
+    variant = workdir / "ablate" / "user-only"
+    written = {"triples.tsv": "kg", "stats.txt": "kg",
+               "entities.bin": "kg_embed/transh",
+               "entities.manifest.txt": "kg_embed/transh",
+               "train_log.txt": "kg_embed/transh"}
+    assert sorted(p.name for p in variant.iterdir()) == sorted(written)
+    for name, stage_dir in written.items():
+        assert ((variant / name).read_bytes()
+                == (workdir / stage_dir / name).read_bytes()), name
+
+
+def test_cli_missing_authors_file_exit_2(tiny_run, tmp_path, capsys):
+    """The corpus is both files: without authors.jsonl, a stage that reads
+    the corpus exits 2 naming the file and the stage that writes it, and a
+    stage whose upstream read it exits 2 naming the file."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    (workdir / "corpus" / "authors.jsonl").unlink()
+    _forget_inputs()
+    for stage in ("index", "build-kg", "tune", "ablate"):
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "--quiet", stage]) == 2, stage
+        err = capsys.readouterr().err
+        assert "corpus/authors.jsonl" in err and "Traceback" not in err, stage
+        if stage in ("index", "build-kg"):
+            assert "run `synth` or `ingest` first" in err, stage
+
+
+def _snapshot(directory: Path) -> dict[str, tuple[bytes, int]]:
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(directory.iterdir())}
+
+
+def test_cli_failing_tune_and_eval_leave_their_directory_untouched(
+        tiny_run, tmp_path, capsys):
+    """`tune` and `eval` read every input, every KG model included, before
+    they write a file, so one that exits 2 leaves its directory as it was."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    argv = ["--config", str(cfg_path), "--quiet",
+            "--set", "fusion.include_transe=true"]
+    assert main(argv + ["train-kg", "--model", "transe"]) == 0
+    assert main(argv + ["tune"]) == 0
+    assert main(argv + ["eval"]) == 0
+    (workdir / "kg_embed" / "transe" / "manifest.json").unlink()
+    for stage in ("tune", "eval"):
+        before = _snapshot(workdir / stage)
+        capsys.readouterr()
+        assert main(argv + [stage]) == 2
+        assert "run `train-kg` first" in capsys.readouterr().err
+        assert _snapshot(workdir / stage) == before, stage
 
 
 def _crafted_records(corpus, contexts, kg_emb, cutoff):
