@@ -240,6 +240,10 @@ def _parse(members: dict, value: str, what: str):
 def load_triples(path: str | Path, catalog: EntityCatalog) -> list[Triple]:
     triples: list[Triple] = []
     for lineno, line in read_lines(path):
+        # save_triples ends every line, so a last line without one is cut
+        if not line.endswith("\n"):
+            raise DataFormatError(f"{path}: truncated triples file (no "
+                                  f"newline at the end of line {lineno})")
         line = line.rstrip("\n")
         if not line:
             continue

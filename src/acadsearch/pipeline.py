@@ -83,24 +83,21 @@ DEFAULT_CONFIG: dict = {
 
 # stage name -> (workdir subdirectory, config sections its manifest hashes);
 # train-kg writes one subdirectory per KG model under its own. A stage hashes
-# every section its own code reads. A freshness check looks one level deep,
-# at the manifest of the directory read, so a stage also hashes the sections
-# that decide the upstream files it reads: `split` in train-dense and
-# build-kg, `encoder` in embed (without it, a `mean`-channel tune would run
-# on the old embeddings after an encoder change).
+# exactly the sections its own code reads; upstream ones are checked through
+# the upstream manifests (Pipeline._check_fresh).
 STAGES: dict[str, tuple[str, tuple[str, ...]]] = {
     "synth": ("corpus", ("seed", "synth")),
     "ingest": ("corpus", ("paths",)),
     "index": ("index", ()),
     "splits": ("splits", ("seed", "split", "bm25")),
-    "train-dense": ("dense", ("seed", "encoder", "split")),
-    "embed": ("embed", ("encoder",)),
-    "build-kg": ("kg", ("split", "kg")),
+    "train-dense": ("dense", ("seed", "encoder")),
+    "embed": ("embed", ()),
+    "build-kg": ("kg", ("kg",)),
     "train-kg": ("kg_embed", ("seed", "kg", "kg_train")),
     "score": ("score", ("bm25",)),
     "tune": ("tune", ("fusion", "kg", "kg_train")),
     "eval": ("eval", ("seed", "eval", "fusion", "kg", "kg_train")),
-    "ablate": ("ablate", ("seed", "kg", "kg_train", "fusion", "eval")),
+    "ablate": ("ablate", ("seed", "kg", "kg_train", "fusion")),
 }
 
 # a manifest of any other version lists an incomplete set of inputs
@@ -222,9 +219,19 @@ def _read_json_object(path: Path, what: str) -> dict:
     return data
 
 
-def stage_config_hash(cfg: dict, stage: str) -> str:
+def _stage_config(cfg: dict, stage: str) -> dict:
+    """The config sections ``stage`` hashes. ``paths.workdir`` is left out,
+    so a workdir copied elsewhere stays fresh."""
     sections = {s: cfg[s] for s in STAGES[stage][1]}
-    return _hash_bytes(json.dumps(sections, sort_keys=True).encode())
+    if "paths" in sections:
+        sections["paths"] = {k: v for k, v in cfg["paths"].items()
+                             if k != "workdir"}
+    return sections
+
+
+def stage_config_hash(cfg: dict, stage: str) -> str:
+    return _hash_bytes(json.dumps(_stage_config(cfg, stage),
+                                  sort_keys=True).encode())
 
 
 def _check_candidates(record, corpus) -> dict:
@@ -342,7 +349,7 @@ class Pipeline:
             "stage": name,
             "version": MANIFEST_VERSION,
             "config_hash": stage_config_hash(self.cfg, name),
-            "config": {s: self.cfg[s] for s in STAGES[name][1]},
+            "config": _stage_config(self.cfg, name),
             "inputs": {rel: self._digest(rel) for rel in self._reads},
             "duration_s": round(time.time() - started, 3),
         }
@@ -355,15 +362,10 @@ class Pipeline:
         return self._digests[rel]
 
     def _input(self, rel: str) -> Path:
-        """``workdir/rel``, recorded as a read of the running stage.
-
-        The first read from a directory checks the manifest there; the
-        file itself must exist.
-        """
+        """``workdir/rel``, recorded as a read of the running stage, once its
+        directory passes :meth:`_check_fresh`; the file itself must exist."""
         dir_rel = rel.rsplit("/", 1)[0]
-        if dir_rel not in self._checked:
-            self._check_fresh(dir_rel)
-            self._checked.add(dir_rel)
+        self._check_fresh(dir_rel)
         path = self.workdir / rel
         if not path.exists():
             raise MissingArtifactError(
@@ -372,8 +374,12 @@ class Pipeline:
         return path
 
     def _check_fresh(self, dir_rel: str) -> None:
-        """The artifacts in ``dir_rel`` exist and, unless forced, were built
-        by this manifest version from the current config and inputs."""
+        """Once per stage call: the artifacts in ``dir_rel`` exist and, unless
+        forced, were built by this manifest version from the current config
+        and inputs; then so were those of each input's directory, upstream."""
+        if dir_rel in self._checked:
+            return
+        self._checked.add(dir_rel)
         manifest_path = self.workdir / dir_rel / "manifest.json"
         rerun = _producers(dir_rel)
         if not manifest_path.exists():
@@ -400,6 +406,8 @@ class Pipeline:
                 raise StaleArtifactError(
                     f"input {rel!r} of {dir_rel!r} changed since it was "
                     f"built; re-run {rerun} or pass --force")
+        for rel in inputs:
+            self._check_fresh(rel.rsplit("/", 1)[0])
 
     # -- corpus stages ----------------------------------------------------------
 
@@ -628,9 +636,11 @@ class Pipeline:
             params = self._bm25_params()
             depth = self.cfg["bm25"]["depth"]
             years = np.asarray([corpus.get(d).year for d in index.doc_ids])
-            for split in ("val", "test"):
-                queries = corpus_mod.load_queries(
-                    self._input(f"splits/{split}_queries.jsonl"))
+            # both splits are read before either file is written
+            by_split = {split: corpus_mod.load_queries(
+                self._input(f"splits/{split}_queries.jsonl"))
+                for split in ("val", "test")}
+            for split, queries in by_split.items():
                 with open(out / f"{split}_candidates.jsonl", "w",
                           encoding="utf-8") as fh:
                     for q in queries:

@@ -196,26 +196,42 @@ def test_invalid_utf8_names_file_and_line(tmp_path, name, line, load):
         load(path)
 
 
-@pytest.mark.parametrize("name, text, load", [
+def _prefix_triples(path):
+    return set(load_triples(path, EntityCatalog({
+        EntityKind.USER: ["u1", "u12"],
+        EntityKind.DOCUMENT: ["d1", "d12", "dé1"]})))
+
+
+@pytest.mark.parametrize("name, text, load, facts", [
     pytest.param("qrels.txt", "q1 0 dé1 1\nq1 0 d2 1\nqü2 0 d3 0\n",
-                 load_qrels, id="qrels"),
+                 load_qrels, lambda qrels: {(q, d) for q, docs in qrels.items()
+                                            for d in docs}, id="qrels"),
     pytest.param("run.txt", "q1 Q0 dé1 1 0.9 fused\nq1 Q0 d2 2 0.5 fused\n"
-                 "qü2 Q0 d3 1 1.5e-05 fused\n", read_run, id="run"),
+                 "qü2 Q0 d3 1 1.5e-05 fused\n", read_run,
+                 lambda run: {(q,) + entry for q, entries in run.rankings.items()
+                              for entry in entries}, id="run"),
+    pytest.param("triples.tsv", "user:u12\twrote\tdocument:d12\n"
+                 "user:u1\twrote\tdocument:dé1\nuser:u1\twrote\tdocument:d12\n",
+                 _prefix_triples, set, id="triples"),
 ])
-def test_every_prefix_loads_or_names_the_file(tmp_path, name, text, load):
+def test_every_prefix_loads_or_names_the_file(tmp_path, name, text, load, facts):
     """A file cut at any byte, also inside a multi-byte character, either
-    loads or raises DataFormatError naming the file; nothing else escapes."""
+    loads no fact the whole file does not hold or raises DataFormatError
+    naming the file; nothing else escapes."""
     data = text.encode("utf-8")
     path = tmp_path / name
+    path.write_bytes(data)
+    whole = facts(load(path))
     outcomes = set()
     for n in range(len(data) + 1):
         path.write_bytes(data[:n])
         try:
-            load(path)
+            loaded = load(path)
         except DataFormatError as exc:
             assert str(exc).startswith(f"{path}: "), (n, str(exc))
             outcomes.add("rejected")
         else:
+            assert facts(loaded) <= whole, n
             outcomes.add("loaded")
     assert outcomes == {"loaded", "rejected"}
     path.write_bytes(data[:data.index("é".encode()) + 1])

@@ -219,6 +219,10 @@ _UPSTREAM_EDITS = pytest.mark.parametrize("edit, sets, stage, rerun", [
                  id="kg-config-changed"),
     pytest.param(_train_transe_as_configured_model, ["kg_train.model=transe"],
                  "eval", "tune", id="kg-model-changed"),
+    pytest.param(_leave_as_is, ["encoder.epochs=3"], "tune", "train-dense",
+                 id="encoder-config-changed"),
+    pytest.param(_leave_as_is, ["split.max_train_queries=10"], "embed", "splits",
+                 id="split-config-changed"),
 ])
 
 
@@ -235,6 +239,52 @@ def test_cli_edited_upstream_makes_stage_stale(tiny_run, tmp_path, capsys, edit,
         argv += ["--set", item]
     assert main(argv + [stage]) == 2
     assert f"re-run `{rerun}`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets, rerun, stages", [
+    pytest.param("encoder.epochs=3", "train-dense",
+                 ("embed", "train-kg", "score", "tune", "eval", "ablate"),
+                 id="encoder"),
+    pytest.param("split.max_train_queries=10", "splits",
+                 ("train-dense", "embed", "build-kg", "train-kg", "score",
+                  "tune", "eval", "ablate"), id="split"),
+])
+def test_cli_upstream_config_change_stops_every_stage_downstream(
+        tiny_run, tmp_path, capsys, sets, rerun, stages):
+    """A config change that makes one stage stale stops every stage that
+    reads its artifacts, however many stages lie between, naming it."""
+    _, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    for stage in stages:
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "--quiet",
+                     "--set", sets, stage]) == 2, stage
+        assert f"re-run `{rerun}`" in capsys.readouterr().err, stage
+
+
+def test_cli_force_runs_on_a_stale_upstream_two_levels_up(tiny_run, tmp_path):
+    """--force checks only that the files read exist, so `tune` runs on
+    candidates whose encoder the config no longer describes."""
+    _, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    argv = ["--config", str(cfg_path), "--quiet", "--set", "encoder.epochs=3"]
+    assert main(argv + ["tune"]) == 2
+    assert main(argv + ["--force", "tune"]) == 0
+
+
+def test_a_stage_call_reads_each_upstream_manifest_once(tiny_run, tmp_path):
+    """`eval` opens the manifest of every directory upstream of it, each
+    once, though many of its inputs and theirs share a directory."""
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    changed = json.loads(json.dumps(cfg))
+    changed["paths"]["workdir"] = str(workdir)
+    with _counting_opens() as opened:
+        Pipeline(changed).stage_eval()
+    manifests = [Path(p).parent.relative_to(workdir).as_posix() for p in opened
+                 if p.startswith(str(workdir)) and p.endswith("manifest.json")
+                 and not p.startswith(str(workdir / "eval"))]
+    assert sorted(manifests) == ["corpus", "dense", "embed", "index", "kg",
+                                 "kg_embed/transh", "score", "splits", "tune"]
 
 
 _RECORDING: list[tuple[str, set[str]]] = []
@@ -359,14 +409,17 @@ def test_manifest_inputs_are_the_files_each_stage_opens(tiny_run, tmp_path):
 
 def test_stage_config_hashes_cover_the_sections_each_stage_reads(tiny_run,
                                                                  tmp_path):
-    """Every config section a stage call reads is one its manifest hashes,
-    so a change to it makes the stage's artifacts stale."""
+    """The config sections a stage hashes are exactly those its calls read:
+    a change to one makes the stage's artifacts stale, and a change to any
+    other leaves them fresh."""
     cfg, src_workdir = tiny_run
     workdir = tmp_path / "w"
     shutil.copytree(src_workdir, workdir)
-    for (name, fusion), _, _, sections in _run_audited_calls(
+    read: dict[str, set[str]] = {}
+    for (name, _), _, _, sections in _run_audited_calls(
             cfg, workdir, cold=False, force=True):
-        assert sections <= set(STAGES[name][1]), (name, fusion, sections)
+        read.setdefault(name, set()).update(sections)
+    assert read == {name: set(STAGES[name][1]) for name in read}
 
 
 def test_warm_stage_calls_record_the_cold_manifest_inputs(tiny_run, tmp_path):
@@ -910,8 +963,10 @@ def test_cli_missing_authors_file_exit_2(tiny_run, tmp_path, capsys):
 
 
 def _snapshot(directory: Path) -> dict[str, tuple[bytes, int]]:
-    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
-            for p in sorted(directory.iterdir())}
+    """Bytes and mtime of every file and subdirectory under ``directory``."""
+    return {p.relative_to(directory).as_posix():
+            (p.read_bytes() if p.is_file() else b"", p.stat().st_mtime_ns)
+            for p in sorted(directory.rglob("*"))}
 
 
 def test_cli_failing_tune_and_eval_leave_their_directory_untouched(
@@ -931,6 +986,45 @@ def test_cli_failing_tune_and_eval_leave_their_directory_untouched(
         assert main(argv + [stage]) == 2
         assert "run `train-kg` first" in capsys.readouterr().err
         assert _snapshot(workdir / stage) == before, stage
+
+
+def test_cli_stage_missing_an_input_leaves_its_directory_untouched(
+        tiny_run, tmp_path, capsys):
+    """Each stage from `index` to `ablate`, run without any one of the files
+    its manifest lists, exits 2 naming the file and leaves its directory as
+    it was: every stage checks its inputs before it writes."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    argv = ["--config", str(cfg_path), "--quiet"]
+    aside = tmp_path / "aside"
+    for stage in ("index", "splits", "train-dense", "embed", "build-kg",
+                  "train-kg", "score", "tune", "eval", "ablate"):
+        own = workdir / STAGES[stage][0]
+        manifest = own / ("transh" if stage == "train-kg" else "") / "manifest.json"
+        for rel in json.loads(manifest.read_text())["inputs"]:
+            before = _snapshot(own)
+            os.replace(workdir / rel, aside)
+            try:
+                capsys.readouterr()
+                assert main(argv + [stage]) == 2, (stage, rel)
+            finally:
+                os.replace(aside, workdir / rel)
+            assert rel in capsys.readouterr().err, (stage, rel)
+            assert _snapshot(own) == before, (stage, rel)
+
+
+def test_cli_copied_ingest_workdir_stays_fresh(tiny_run, tmp_path):
+    """No manifest depends on where the workdir lies: an ingested workdir
+    copied elsewhere serves the next stage as the original does."""
+    _, src_workdir = tiny_run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"paths": {
+        "corpus": str(src_workdir / "corpus" / "corpus.jsonl"),
+        "authors": str(src_workdir / "corpus" / "authors.jsonl")}}))
+    argv = ["--config", str(cfg_path), "--quiet", "--workdir"]
+    assert main(argv + [str(tmp_path / "w1"), "ingest"]) == 0
+    assert main(argv + [str(tmp_path / "w1"), "index"]) == 0
+    shutil.copytree(tmp_path / "w1", tmp_path / "w2")
+    assert main(argv + [str(tmp_path / "w2"), "index"]) == 0
 
 
 def _crafted_records(corpus, contexts, kg_emb, cutoff):
