@@ -7,6 +7,7 @@ and reports the counts.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 from dataclasses import dataclass
@@ -54,14 +55,68 @@ def _utf8_error(path: Path) -> DataFormatError:
     return DataFormatError(f"{path}: invalid UTF-8")
 
 
-def _parse_line(line: str, lineno: int, path) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: malformed record on line {lineno}: {exc}") from None
-    if not isinstance(record, dict):
-        raise DataFormatError(f"{path}: record on line {lineno} is not an object")
-    return record
+def read_records(path: str | Path, required: tuple[str, ...], what: str
+                 ) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) for each non-blank line of a JSON-lines
+    file; a line that is not an object holding every ``required`` key raises
+    DataFormatError naming the file and the line."""
+    for lineno, line in read_lines(path):
+        if not (line := line.strip()):
+            continue
+        try:
+            record = json.loads(line)
+            if type(record) is not dict:
+                raise ValueError("not a JSON object")
+            if missing := [f for f in required if f not in record]:
+                raise ValueError(f"missing fields {missing}")
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{path}: bad {what} on line {lineno}: {exc}") from None
+        yield lineno, record
+
+
+def read_fields(path: str | Path, count: int, sep: str | None = None
+                ) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank line of a field file: exactly
+    ``count`` fields split on ``sep`` (on whitespace if None), and a newline
+    at the end. The writers end every line, so a last one without is cut."""
+    for lineno, line in read_lines(path):
+        if line[-1] != "\n":
+            raise DataFormatError(f"{path}: truncated file (no newline at "
+                                  f"the end of line {lineno})")
+        fields = line.split() if sep is None else line[:-1].split(sep)
+        if len(fields) == count:
+            yield lineno, fields
+        elif fields not in ([], [""]):   # not a blank line
+            raise DataFormatError(f"{path}: expected {count} fields on line "
+                                  f"{lineno}, got {len(fields)}")
+
+
+def _id(value, path: Path, lineno: int, field: str,
+        optional: bool = False) -> str | None:
+    """A string or integer id as a string; null too, if ``optional``."""
+    if type(value) is str or value is None and optional:
+        return value
+    if type(value) is not int:
+        raise DataFormatError(f"{path}: {field} on line {lineno} is not a "
+                              f"string or an integer")
+    return str(value)
+
+
+def _ids(value, path: Path, lineno: int, field: str) -> list[str]:
+    if type(value) is not list:
+        raise DataFormatError(f"{path}: {field} on line {lineno} is not a list")
+    return [v if type(v) is str else _id(v, path, lineno, field) for v in value]
+
+
+def _year(value, path: Path, lineno: int) -> int:
+    """An integer, an integral float or an integer string, as an int."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is str:
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise DataFormatError(f"{path}: non-integer year on line {lineno}")
 
 
 def load_corpus(path: str | Path, authors_path: str | Path | None = None
@@ -70,35 +125,25 @@ def load_corpus(path: str | Path, authors_path: str | Path | None = None
     path = Path(path)
     docs: list[Document] = []
     seen: dict[str, int] = {}
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        record = _parse_line(line, lineno, path)
-        missing = [f for f in ("doc_id", "title", "year") if f not in record]
-        if missing:
-            raise DataFormatError(
-                f"{path}: record on line {lineno} missing fields {missing}")
-        doc_id = str(record["doc_id"])
+    for lineno, record in read_records(path, ("doc_id", "title", "year"),
+                                       "document record"):
+        doc_id = _id(record["doc_id"], path, lineno, "doc_id")
         if doc_id in seen:
             raise DataFormatError(
                 f"{path}: duplicate doc_id {doc_id!r} on line {lineno} "
                 f"(first seen on line {seen[doc_id]})")
         seen[doc_id] = lineno
-        try:
-            year = int(record["year"])
-        except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{path}: non-integer year on line {lineno}") from None
         docs.append(Document(
             doc_id=doc_id,
             title=str(record["title"]),
             abstract=str(record.get("abstract", "")),
-            author_ids=[str(a) for a in record.get("author_ids", [])],
-            venue_id=(str(record["venue_id"])
-                      if record.get("venue_id") is not None else None),
-            year=year,
-            references=[str(r) for r in record.get("references", [])],
+            author_ids=_ids(record.get("author_ids", []), path, lineno,
+                            "author_ids"),
+            venue_id=_id(record.get("venue_id"), path, lineno, "venue_id",
+                         optional=True),
+            year=_year(record["year"], path, lineno),
+            references=_ids(record.get("references", []), path, lineno,
+                            "references"),
         ))
     report = IngestReport(documents=len(docs))
     known = set(seen)
@@ -141,15 +186,8 @@ def load_authors(path: str | Path) -> list[Author]:
     path = Path(path)
     authors: list[Author] = []
     seen: set[str] = set()
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        record = _parse_line(line, lineno, path)
-        if "author_id" not in record:
-            raise DataFormatError(f"{path}: author record on line {lineno} "
-                                  f"missing author_id")
-        author_id = str(record["author_id"])
+    for lineno, record in read_records(path, ("author_id",), "author record"):
+        author_id = _id(record["author_id"], path, lineno, "author_id")
         if author_id in seen:
             raise DataFormatError(f"{path}: duplicate author_id {author_id!r} "
                                   f"on line {lineno}")
@@ -158,7 +196,8 @@ def load_authors(path: str | Path) -> list[Author]:
         if isinstance(aff, list):
             # Single affiliation per author; extra entries are ignored.
             aff = aff[0] if aff else None
-        authors.append(Author(author_id, str(aff) if aff is not None else None))
+        authors.append(Author(author_id, _id(aff, path, lineno,
+                                             "affiliation_id", optional=True)))
     return authors
 
 
@@ -180,28 +219,16 @@ def save_queries(queries: list[Query], path: str | Path) -> None:
 def load_queries(path: str | Path) -> list[Query]:
     path = Path(path)
     queries = []
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        record = _parse_line(line, lineno, path)
-        missing = [f for f in ("query_id", "text", "year") if f not in record]
-        if missing:
-            raise DataFormatError(
-                f"{path}: query record on line {lineno} missing fields {missing}")
-        try:
-            year = int(record["year"])
-        except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{path}: non-integer year on line {lineno}") from None
+    for lineno, record in read_records(path, ("query_id", "text", "year"),
+                                       "query record"):
         queries.append(Query(
-            query_id=str(record["query_id"]),
-            user_id=(str(record["user_id"])
-                     if record.get("user_id") is not None else None),
+            query_id=_id(record["query_id"], path, lineno, "query_id"),
+            user_id=_id(record.get("user_id"), path, lineno, "user_id",
+                        optional=True),
             text=str(record["text"]),
-            year=year,
-            source_doc_id=(str(record["source_doc_id"])
-                           if record.get("source_doc_id") is not None else None),
+            year=_year(record["year"], path, lineno),
+            source_doc_id=_id(record.get("source_doc_id"), path, lineno,
+                              "source_doc_id", optional=True),
         ))
     return queries
 
@@ -217,15 +244,7 @@ def save_qrels(qrels: QrelSet, path: str | Path) -> None:
 def load_qrels(path: str | Path) -> QrelSet:
     path = Path(path)
     qrels = QrelSet()
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise DataFormatError(f"{path}: expected 4 fields on line {lineno}, "
-                                  f"got {len(parts)}")
-        qid, _, doc_id, rel = parts
+    for lineno, (qid, _, doc_id, rel) in read_fields(path, 4):
         if rel not in ("0", "1"):
             raise DataFormatError(f"{path}: non-binary relevance {rel!r} "
                                   f"on line {lineno}")

@@ -146,8 +146,9 @@ class HashedBowEncoder:
     """Learned bucket table; texts embed as normalized means of token rows."""
 
     def __init__(self, dim: int = 64, buckets: int = 1 << 16, seed: int = 0):
-        if buckets < 1:
-            raise ConfigError(f"buckets must be >= 1, got {buckets}")
+        if dim < 1 or buckets < 1:
+            raise ConfigError(f"encoder.dim and encoder.buckets must be >= 1, "
+                              f"got {dim} and {buckets}")
         self.dim = dim
         self.buckets = buckets
         rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus.io import read_lines
+from .corpus.io import read_fields
 from .corpus.model import QrelSet
 from .errors import ConfigError, DataFormatError
 
@@ -363,15 +363,7 @@ def read_run(path: str | Path) -> RunFile:
     path = Path(path)
     rankings: dict[str, list[tuple[str, float, int]]] = {}
     name = "run"
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise DataFormatError(f"{path}: expected 6 columns on line "
-                                  f"{lineno}, got {len(parts)}")
-        qid, _, doc_id, rank, score, tag = parts
+    for lineno, (qid, _, doc_id, rank, score, tag) in read_fields(path, 6):
         try:
             entry = (doc_id, float(score), int(rank))
         except ValueError:

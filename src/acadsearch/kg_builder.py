@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus.io import read_lines
+from .corpus.io import read_fields
 from .corpus.model import Author, Corpus, CorpusView
 from .errors import DataFormatError
 
@@ -239,23 +239,12 @@ def _parse(members: dict, value: str, what: str):
 
 def load_triples(path: str | Path, catalog: EntityCatalog) -> list[Triple]:
     triples: list[Triple] = []
-    for lineno, line in read_lines(path):
-        # save_triples ends every line, so a last line without one is cut
-        if not line.endswith("\n"):
-            raise DataFormatError(f"{path}: truncated triples file (no "
-                                  f"newline at the end of line {lineno})")
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataFormatError(f"{path}: expected 3 tab-separated fields "
-                                  f"on line {lineno}")
+    for lineno, (h, r, t) in read_fields(path, 3, "\t"):
         try:
-            hk, hid = parts[0].split(":", 1)
-            tk, tid = parts[2].split(":", 1)
+            hk, hid = h.split(":", 1)
+            tk, tid = t.split(":", 1)
             head = catalog.ordinal(_parse(_KIND_BY_VALUE, hk, "entity kind"), hid)
-            relation = _parse(_RELATION_BY_VALUE, parts[1], "relation")
+            relation = _parse(_RELATION_BY_VALUE, r, "relation")
             tail = catalog.ordinal(_parse(_KIND_BY_VALUE, tk, "entity kind"), tid)
         except (ValueError, KeyError) as exc:
             raise DataFormatError(f"{path}: bad triple on line {lineno}: {exc}") from None

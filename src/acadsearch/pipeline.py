@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as corpus_mod
-from .corpus.io import read_lines
+from .corpus.io import read_records
 from .dense_encoder import (HashedBowEncoder, embed_corpus,
                             load_precomputed_embeddings, train_encoder)
 from .errors import (ConfigError, DataFormatError, MissingArtifactError,
@@ -106,18 +106,45 @@ MANIFEST_VERSION = 2
 CORPUS_FILES = ("corpus/corpus.jsonl", "corpus/authors.jsonl")
 
 
-def _merge(dst: dict, src: dict, prefix: str = "") -> None:
+# the keys whose default is null, with a value of the type they take instead
+_NULL_DEFAULTS = {"paths.corpus": "", "paths.authors": "", "split.cutoff_year": 0}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list"}
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the JSON type of ``default``; an int fits a float."""
+    if type(default) is list:
+        return (type(value) is list and len(value) == len(default)
+                and all(map(_fits, value, default)))
+    return type(value) is type(default) or (type(default) is float
+                                            and type(value) is int)
+
+
+def _merge(dst: dict, src: dict, prefix: str = "",
+           defaults: dict = DEFAULT_CONFIG) -> None:
+    """Set each of ``src``'s values in ``dst``; a value must take the type of
+    its key's default, or be null where the default is null."""
     for key, value in src.items():
+        name = prefix + key
         if key not in dst:
-            raise ConfigError(f"unknown config key {prefix + key!r}")
-        section = isinstance(dst[key], dict)
-        if section != isinstance(value, dict):
-            raise ConfigError(f"config {'section' if section else 'key'} "
-                              f"{prefix + key!r} cannot be set to {value!r}")
-        if section:
-            _merge(dst[key], value, prefix + key + ".")
-        else:
-            dst[key] = value
+            raise ConfigError(f"unknown config key {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} cannot be set to "
+                                  f"{value!r}")
+            _merge(dst[key], value, name + ".", default)
+            continue
+        nullable = name in _NULL_DEFAULTS
+        default = _NULL_DEFAULTS.get(name, default)
+        if not (_fits(value, default) or nullable and value is None):
+            raise ConfigError(
+                f"config key {name!r} must be {'null or ' * nullable}"
+                f"{_TYPE_NAMES[type(default)]} (default {defaults[key]!r}); "
+                f"got {value!r}")
+        dst[key] = value
 
 
 def merge_config(overrides: dict | None) -> dict:
@@ -219,13 +246,18 @@ def _read_json_object(path: Path, what: str) -> dict:
     return data
 
 
+# (stage, section) -> the key its hash leaves out: a workdir copied elsewhere
+# stays fresh, and train-kg's output directory is named after the model
+_UNHASHED = {("ingest", "paths"): "workdir", ("train-kg", "kg_train"): "model"}
+
+
 def _stage_config(cfg: dict, stage: str) -> dict:
-    """The config sections ``stage`` hashes. ``paths.workdir`` is left out,
-    so a workdir copied elsewhere stays fresh."""
+    """The config sections ``stage`` hashes, without its _UNHASHED key."""
     sections = {s: cfg[s] for s in STAGES[stage][1]}
-    if "paths" in sections:
-        sections["paths"] = {k: v for k, v in cfg["paths"].items()
-                             if k != "workdir"}
+    for (name, section), key in _UNHASHED.items():
+        if name == stage:
+            sections[section] = {k: v for k, v in cfg[section].items()
+                                 if k != key}
     return sections
 
 
@@ -234,18 +266,12 @@ def stage_config_hash(cfg: dict, stage: str) -> str:
                                   sort_keys=True).encode())
 
 
-def _check_candidates(record, corpus) -> dict:
+def _check_candidates(record: dict, corpus) -> dict:
     """``record`` with bm25 and dense as float arrays, plus doc id ``ordinals``.
 
-    Raises ValueError or TypeError unless the record holds every field the
-    fusion stages read: distinct corpus doc ids and one finite score per id.
+    Raises ValueError or TypeError unless the fields the fusion stages read
+    hold distinct corpus doc ids and one finite score per id.
     """
-    if not isinstance(record, dict):
-        raise ValueError("not a JSON object")
-    missing = [f for f in ("query_id", "user_id", "text", "doc_ids", "bm25",
-                           "dense") if f not in record]
-    if missing:
-        raise ValueError(f"missing fields {missing}")
     if not isinstance(record["query_id"], str) or not isinstance(record["text"], str):
         raise ValueError("query_id and text must be strings")
     if record["user_id"] is not None and not isinstance(record["user_id"], str):
@@ -269,12 +295,12 @@ def _check_candidates(record, corpus) -> dict:
 def _load_candidates(path: Path, corpus) -> list[dict]:
     """The candidate records ``score`` wrote, each checked by _check_candidates."""
     records = []
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
+    for lineno, record in read_records(path, ("query_id", "user_id", "text",
+                                              "doc_ids", "bm25", "dense"),
+                                       "candidate record"):
         try:
-            records.append(_check_candidates(json.loads(line), corpus))
-        except (TypeError, ValueError) as exc:   # ValueError: also bad JSON
+            records.append(_check_candidates(record, corpus))
+        except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: bad candidate record on line "
                                   f"{lineno}: {exc}") from None
     return records
@@ -295,7 +321,9 @@ def _fuse_and_evaluate(name: str, lam: Lambdas, lists: list[CandidateList],
 
 def _producers(dir_rel: str) -> str:
     """The stage(s) that write ``dir_rel``, for 'run ... first' messages."""
-    top = dir_rel.split("/")[0]
+    top, _, model = dir_rel.partition("/")
+    if top == STAGES["train-kg"][0] and model:
+        return f"`train-kg --model {model}`"
     return " or ".join(f"`{name}`" for name, (d, _) in STAGES.items() if d == top)
 
 
@@ -316,10 +344,9 @@ class Pipeline:
             if (value := cfg["fusion"][key]) not in choices:
                 raise ConfigError(f"fusion.{key} must be one of "
                                   f"{', '.join(choices)}; got {value!r}")
-        step = cfg["fusion"]["grid_step"]
+        step = cfg["fusion"]["grid_step"]   # a number, as merge_config checks
         # (0, 1] also rules out NaN and infinity; the tolerance is lambda_grid's
-        if (isinstance(step, bool) or not isinstance(step, (int, float))
-                or not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9):
+        if not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9:
             raise ConfigError(f"fusion.grid_step must be a number in (0, 1] "
                               f"that divides 1; got {step!r}")
         self.cfg = cfg
@@ -462,10 +489,13 @@ class Pipeline:
         return BM25Params(self.cfg["bm25"]["k1"], self.cfg["bm25"]["b"])
 
     def stage_splits(self) -> None:
+        scfg = self.cfg["split"]
+        for key in ("max_train_queries", "max_val_queries", "max_test_queries"):
+            if scfg[key] < 1:
+                raise ConfigError(f"split.{key} must be >= 1, got {scfg[key]}")
         with self._stage("splits") as out:
             corpus = self._load_corpus()
             index = load_index(self._input("index/index.bin"))
-            scfg = self.cfg["split"]
             cutoff = scfg["cutoff_year"]
             if cutoff is None:
                 years = np.sort(np.asarray(corpus.years()))

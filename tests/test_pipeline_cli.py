@@ -81,6 +81,80 @@ def test_cli_bad_config_exit_1(tmp_path, capsys, content, sets, named):
     assert "Traceback" not in err
 
 
+def _leaves(section: dict, prefix: str = ""):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+# values of another JSON type than a default of each type, or a null default
+_WRONG_TYPED = {str: [5, True, None, ["x"]], int: ["x", 1.5, True, None, [1]],
+                float: ["x", True, None, {"a": 1}], bool: ["x", 1, None],
+                list: ["x", [1], None], type(None): [True, ["x"], {"a": 1}]}
+
+
+def test_cli_wrong_typed_config_value_exit_1(tmp_path, capsys):
+    """A value of another JSON type than its key's default exits 1 naming
+    the key, through --set and through a config file, before any stage
+    writes; an int is a float, and null fits only a null default."""
+    workdir = tmp_path / "w"
+    cfg_path = tmp_path / "cfg.json"
+    leaves = list(_leaves(DEFAULT_CONFIG))
+    assert len(leaves) > 50
+    for name, default in leaves:
+        for value in _WRONG_TYPED[type(default)]:
+            nested = value
+            for part in reversed(name.split(".")):
+                nested = {part: nested}
+            cfg_path.write_text(json.dumps(nested))
+            for argv in (["--set", f"{name}={json.dumps(value)}"],
+                         ["--config", str(cfg_path)]):
+                capsys.readouterr()
+                assert main(argv + ["--workdir", str(workdir), "--quiet",
+                                    "synth"]) == 1, (name, value)
+                err = capsys.readouterr().err
+                assert f"config key {name!r}" in err, (name, value, err)
+                assert "Traceback" not in err
+    assert not workdir.exists()
+    cfg = load_config(None, ["encoder.lr=1", "split.cutoff_year=2015",
+                             "paths.corpus=c.jsonl", "synth.title_len=[2, 3]"])
+    assert (cfg["encoder"]["lr"], cfg["split"]["cutoff_year"]) == (1, 2015)
+    assert (cfg["paths"]["corpus"], cfg["synth"]["title_len"]) == ("c.jsonl",
+                                                                   [2, 3])
+    cfg_path.write_text(json.dumps({"split": {"cutoff_year": 2015}}))
+    cfg = load_config(cfg_path, ["split.cutoff_year=null"])
+    assert cfg["split"]["cutoff_year"] is None
+
+
+@pytest.mark.parametrize("key", ["max_train_queries", "max_val_queries",
+                                 "max_test_queries"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_split_query_cap_below_one_exit_1(tmp_path, capsys, key, value):
+    """A split query cap below 1 exits 1 naming the key before `splits`
+    writes anything."""
+    workdir = tmp_path / "w"
+    capsys.readouterr()
+    assert main(["--workdir", str(workdir), "--quiet",
+                 "--set", f"split.{key}={value}", "splits"]) == 1
+    err = capsys.readouterr().err
+    assert f"split.{key}" in err and "Traceback" not in err
+    assert not workdir.exists()
+
+
+def test_cli_encoder_dim_below_one_exit_1(tiny_run, tmp_path, capsys):
+    """encoder.dim 0 exits 1 naming the key before `train-dense` writes."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    before = _snapshot(workdir / "dense")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet",
+                 "--set", "encoder.dim=0", "train-dense"]) == 1
+    err = capsys.readouterr().err
+    assert "encoder.dim" in err and "Traceback" not in err
+    assert _snapshot(workdir / "dense") == before
+
+
 def test_stage_config_hash_stability():
     cfg = merge_config(None)
     h1 = stage_config_hash(cfg, "synth")
@@ -215,8 +289,8 @@ _UPSTREAM_EDITS = pytest.mark.parametrize("edit, sets, stage, rerun", [
                  id="train-queries-truncated"),
     pytest.param(_move_first_author, [], "train-kg", "build-kg",
                  id="authors-edited"),
-    pytest.param(_leave_as_is, ["kg.include_venue=false"], "tune", "train-kg",
-                 id="kg-config-changed"),
+    pytest.param(_leave_as_is, ["kg.include_venue=false"], "tune",
+                 "train-kg --model transh", id="kg-config-changed"),
     pytest.param(_train_transe_as_configured_model, ["kg_train.model=transe"],
                  "eval", "tune", id="kg-model-changed"),
     pytest.param(_leave_as_is, ["encoder.epochs=3"], "tune", "train-dense",
@@ -885,7 +959,8 @@ def test_cli_transe_system_comes_from_config(tiny_run, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv + ["tune"]) == 2
     err = capsys.readouterr().err
-    assert "kg_embed/transe" in err and "run `train-kg` first" in err
+    assert "kg_embed/transe" in err
+    assert "run `train-kg --model transe` first" in err
     assert main(argv + ["train-kg", "--model", "transe"]) == 0
     assert main(argv + ["tune"]) == 0
     assert main(argv + ["eval"]) == 0
@@ -903,6 +978,28 @@ def test_cli_removed_corruption_key_is_unknown(tmp_path, capsys):
         assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
+def test_cli_train_kg_freshness_follows_the_model_it_trained(tiny_run,
+                                                             tmp_path):
+    """kg_train.model names train-kg's output directory and is left out of
+    its config hash, so a model trained through --model serves a config
+    that names it, and one trained through the config serves the
+    default config, without training again."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    base = ["--config", str(cfg_path), "--quiet",
+            "--set", "fusion.include_transe=true"]
+    transe = base + ["--set", "kg_train.model=transe"]
+    model_dir = workdir / "kg_embed" / "transe"
+    assert main(base + ["train-kg", "--model", "transe"]) == 0
+    trained = (model_dir / "entities.bin").read_bytes()
+    assert main(transe + ["tune"]) == 0
+    assert main(transe + ["train-kg"]) == 0
+    assert (model_dir / "entities.bin").read_bytes() == trained
+    before = _snapshot(workdir / "kg_embed")
+    assert main(base + ["tune"]) == 0
+    assert main(base + ["eval"]) == 0
+    assert _snapshot(workdir / "kg_embed") == before
+
+
 def test_ablate_on_a_stale_kg_model_trains_nothing(tiny_run, tmp_path,
                                                    monkeypatch):
     """ablate reads the configured KG model before it trains any variant,
@@ -916,7 +1013,8 @@ def test_ablate_on_a_stale_kg_model_trains_nothing(tiny_run, tmp_path,
         raise AssertionError("ablate trained a KG variant")
 
     monkeypatch.setattr(pipeline_mod, "train_kg", no_training)
-    with pytest.raises(StaleArtifactError, match="re-run `train-kg`"):
+    with pytest.raises(StaleArtifactError,
+                       match="re-run `train-kg --model transh`"):
         Pipeline(tiny_cfg(workdir)).stage_ablate()
 
 
@@ -984,7 +1082,8 @@ def test_cli_failing_tune_and_eval_leave_their_directory_untouched(
         before = _snapshot(workdir / stage)
         capsys.readouterr()
         assert main(argv + [stage]) == 2
-        assert "run `train-kg` first" in capsys.readouterr().err
+        assert ("run `train-kg --model transe` first"
+                in capsys.readouterr().err)
         assert _snapshot(workdir / stage) == before, stage
 
 
