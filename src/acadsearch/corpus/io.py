@@ -103,6 +103,16 @@ def _id(value, path: Path, lineno: int, field: str,
     return str(value)
 
 
+def _text(value, path: Path, lineno: int, field: str,
+          optional: bool = False) -> str:
+    """A string; null, as an absent field gives, is "" if ``optional``."""
+    if type(value) is str:
+        return value
+    if value is None and optional:
+        return ""
+    raise DataFormatError(f"{path}: {field} on line {lineno} is not a string")
+
+
 def _ids(value, path: Path, lineno: int, field: str) -> list[str]:
     if type(value) is not list:
         raise DataFormatError(f"{path}: {field} on line {lineno} is not a list")
@@ -135,8 +145,9 @@ def load_corpus(path: str | Path, authors_path: str | Path | None = None
         seen[doc_id] = lineno
         docs.append(Document(
             doc_id=doc_id,
-            title=str(record["title"]),
-            abstract=str(record.get("abstract", "")),
+            title=_text(record["title"], path, lineno, "title"),
+            abstract=_text(record.get("abstract"), path, lineno, "abstract",
+                           optional=True),
             author_ids=_ids(record.get("author_ids", []), path, lineno,
                             "author_ids"),
             venue_id=_id(record.get("venue_id"), path, lineno, "venue_id",
@@ -225,7 +236,7 @@ def load_queries(path: str | Path) -> list[Query]:
             query_id=_id(record["query_id"], path, lineno, "query_id"),
             user_id=_id(record.get("user_id"), path, lineno, "user_id",
                         optional=True),
-            text=str(record["text"]),
+            text=_text(record["text"], path, lineno, "text"),
             year=_year(record["year"], path, lineno),
             source_doc_id=_id(record.get("source_doc_id"), path, lineno,
                               "source_doc_id", optional=True),

@@ -304,6 +304,8 @@ def tune_lambdas(candidate_lists: list[CandidateList], qrels: QrelSet,
 def significance_test(metrics_a, metrics_b, permutations: int = 10000,
                       seed: int = 0) -> float:
     """Two-sided paired randomization test on the mean difference."""
+    if permutations < 1:
+        raise ValueError(f"permutations must be >= 1, got {permutations}")
     a = np.asarray(metrics_a, dtype=np.float64)
     b = np.asarray(metrics_b, dtype=np.float64)
     if a.shape != b.shape:

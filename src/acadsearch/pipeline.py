@@ -24,8 +24,8 @@ from . import corpus as corpus_mod
 from .corpus.io import read_records
 from .dense_encoder import (HashedBowEncoder, embed_corpus,
                             load_precomputed_embeddings, train_encoder)
-from .errors import (ConfigError, DataFormatError, MissingArtifactError,
-                     StaleArtifactError)
+from .errors import (AcadSearchError, ConfigError, DataFormatError,
+                     MissingArtifactError, StaleArtifactError)
 from .fusion_eval import (CandidateList, Lambdas, MetricReport, ablation_report,
                           evaluate_run, fuse, metrics_table,
                           significance_test, tune_lambdas, write_run)
@@ -319,6 +319,82 @@ def _fuse_and_evaluate(name: str, lam: Lambdas, lists: list[CandidateList],
                                       for q, entries in fused.items()}, qrels)
 
 
+def _build_kg(corpus, cutoff_year: int, kg_config: KGConfig, out: Path):
+    """``kg_config``'s entity catalog and the triples before ``cutoff_year``,
+    written to triples.tsv and stats.txt in ``out``; returns (triples, catalog)."""
+    authors = list(corpus.authors.values())
+    catalog = build_catalog(corpus, authors, kg_config)
+    triples = build_kg(corpus.before(cutoff_year), authors, catalog, kg_config)
+    save_triples(triples, catalog, out / "triples.tsv")
+    (out / "stats.txt").write_text(kg_stats(triples, catalog), encoding="utf-8")
+    return triples, catalog
+
+
+def _train_kg(triples, catalog, store, config: KGTrainConfig,
+              out: Path) -> KGEmbeddings:
+    """``config``'s model trained on ``triples``, written to entities.bin,
+    entities.manifest.txt and train_log.txt in ``out``."""
+    emb = train_kg(triples, store, catalog, config)
+    save_kg_embeddings(emb, out / "entities.bin", out / "entities.manifest.txt")
+    _write_train_log(out / "train_log.txt", emb.epoch_losses)
+    return emb
+
+
+def _ablation_variant(corpus, cutoff_year: int, kg_config: KGConfig, store,
+                      config: KGTrainConfig, out: Path
+                      ) -> tuple[KGEmbeddings, int]:
+    """One ablation variant built and trained into ``out`` by the code of
+    `build-kg` and `train-kg`: (its model, its number of triples)."""
+    out.mkdir(exist_ok=True)
+    triples, catalog = _build_kg(corpus, cutoff_year, kg_config, out)
+    return _train_kg(triples, catalog, store, config, out), len(triples)
+
+
+def _variant_child(conn, *args) -> None:
+    """Forked process body: sends _ablation_variant's result, or whatever it
+    raised, to the parent, which raises it there; so the child prints no
+    traceback, and an interrupt ends it quietly."""
+    try:
+        result = _ablation_variant(*args)
+    except BaseException as exc:   # raised again by the parent
+        result = exc
+    with contextlib.suppress(BaseException):   # the parent may be gone
+        conn.send(result)
+
+
+def _fork_variant(label: str, *args):
+    """(process, receiving end) of a forked child that trains ``label``."""
+    # imported here, since only ablate forks: at the top, the import would
+    # add about 0.6 MiB to the peak memory of every stage's process
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
+    recv_end, send_end = fork.Pipe(duplex=False)
+    proc = fork.Process(target=_variant_child, args=(send_end, *args),
+                        name=f"ablate {label}")
+    proc.start()
+    send_end.close()   # so the parent sees end-of-file once the child exits
+    return proc, recv_end
+
+
+def _join_variant(label: str, proc, conn) -> tuple[KGEmbeddings, int]:
+    """The result a forked child sent for ``label``, or what it raised."""
+    try:
+        result = conn.recv()
+    except EOFError:
+        proc.join()
+        code = proc.exitcode
+        raise AcadSearchError(
+            f"ablate: the process training variant {label!r} ended without a "
+            f"result ({f'signal {-code}' if code < 0 else f'exit code {code}'})"
+        ) from None
+    finally:
+        conn.close()
+    proc.join()
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def _producers(dir_rel: str) -> str:
     """The stage(s) that write ``dir_rel``, for 'run ... first' messages."""
     top, _, model = dir_rel.partition("/")
@@ -349,6 +425,8 @@ class Pipeline:
         if not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9:
             raise ConfigError(f"fusion.grid_step must be a number in (0, 1] "
                               f"that divides 1; got {step!r}")
+        if (permutations := cfg["eval"]["permutations"]) < 1:
+            raise ConfigError(f"eval.permutations must be >= 1, got {permutations}")
         self.cfg = cfg
         self.force = force
         self.workdir = Path(cfg["paths"]["workdir"])
@@ -599,21 +677,10 @@ class Pipeline:
 
     # -- knowledge graph ---------------------------------------------------------------
 
-    def _build_kg(self, corpus, kg_config: KGConfig, out: Path):
-        """``kg_config``'s entity catalog and pre-cutoff triples, written to
-        triples.tsv and stats.txt in ``out``; returns (triples, catalog)."""
-        authors = list(corpus.authors.values())
-        catalog = build_catalog(corpus, authors, kg_config)
-        triples = build_kg(corpus.before(self._cutoff_year()), authors, catalog,
-                           kg_config)
-        save_triples(triples, catalog, out / "triples.tsv")
-        (out / "stats.txt").write_text(kg_stats(triples, catalog), encoding="utf-8")
-        return triples, catalog
-
     def stage_build_kg(self) -> None:
         with self._stage("build-kg") as out:
-            triples, _ = self._build_kg(self._load_corpus(),
-                                        KGConfig(**self.cfg["kg"]), out)
+            triples, _ = _build_kg(self._load_corpus(), self._cutoff_year(),
+                                   KGConfig(**self.cfg["kg"]), out)
         log.info("build-kg: %d triples", len(triples))
 
     def _kg_catalog(self, corpus) -> EntityCatalog:
@@ -629,23 +696,14 @@ class Pipeline:
             kcfg["model"] = model
         return KGTrainConfig(seed=self.cfg["seed"], **kcfg)
 
-    def _train_kg(self, triples, catalog, store, config: KGTrainConfig,
-                  out: Path) -> KGEmbeddings:
-        """``config``'s model trained on ``triples``, written to entities.bin,
-        entities.manifest.txt and train_log.txt in ``out``."""
-        emb = train_kg(triples, store, catalog, config)
-        save_kg_embeddings(emb, out / "entities.bin", out / "entities.manifest.txt")
-        _write_train_log(out / "train_log.txt", emb.epoch_losses)
-        return emb
-
     def stage_train_kg(self, model: str | None = None) -> None:
         config = self._kg_train_config(model)
         with self._stage("train-kg", config.model) as out:
             corpus = self._load_corpus()
             catalog = self._kg_catalog(corpus)
             triples = load_triples(self._input("kg/triples.tsv"), catalog)
-            emb = self._train_kg(triples, catalog, self._doc_embeddings(corpus),
-                                 config, out)
+            emb = _train_kg(triples, catalog, self._doc_embeddings(corpus),
+                            config, out)
         log.info("train-kg(%s): %d entities, final loss %.6f", config.model,
                  catalog.total, emb.epoch_losses[-1] if emb.epoch_losses else 0.0)
 
@@ -841,11 +899,12 @@ class Pipeline:
             store = self._doc_embeddings(corpus)
             val_qrels = corpus_mod.load_qrels(self._input("splits/val_qrels.txt"))
             test_qrels = corpus_mod.load_qrels(self._input("splits/test_qrels.txt"))
+            cutoff = self._cutoff_year()
             step = self.cfg["fusion"]["grid_step"]
 
-            # Train (or reuse) every variant first, then compare them under one
-            # set of fusion weights tuned on the full configuration; re-tuning
-            # per variant would fold validation noise into the node-type effect.
+            # Train (or reuse) every variant, then compare them under one set
+            # of fusion weights tuned on the full configuration; re-tuning per
+            # variant would fold validation noise into the node-type effect.
             main_kg = KGConfig(**self.cfg["kg"])
             config = self._kg_train_config()
             kg_configs = [(label, dataclasses.replace(main_kg, **overrides))
@@ -854,34 +913,55 @@ class Pipeline:
             # before any variant trains so that a stale one fails at once
             main_emb = (self._load_kg_embeddings(config.model, corpus)
                         if any(kg == main_kg for _, kg in kg_configs) else None)
-            variants = []
-            for label, kg_config in kg_configs:
-                if kg_config == main_kg:
-                    variants.append((label, main_emb, None))
-                    continue
-                variant_dir = out / label.replace("+", "plus_")
-                variant_dir.mkdir(exist_ok=True)
-                triples, catalog = self._build_kg(corpus, kg_config, variant_dir)
-                emb = self._train_kg(triples, catalog, store, config, variant_dir)
-                variants.append((label, emb, len(triples)))
+            variants = {label: (main_emb, None)
+                        for label, kg in kg_configs if kg == main_kg}
+            # at least two variants differ from the configured KG
+            (first, first_args), *others = [
+                (label, (corpus, cutoff, kg, store, config,
+                         out / label.replace("+", "plus_")))
+                for label, kg in kg_configs if kg != main_kg]
+            # Every input is read above, so no read is made in a child, where
+            # the manifest would miss it. Each training is seeded from its own
+            # config, so running them side by side changes no byte.
+            children = {label: _fork_variant(label, *args)
+                        for label, args in others}
+            try:
+                variants[first] = _ablation_variant(*first_args)
+                full = kg_configs[-1][0]
+                if full in children:
+                    variants[full] = _join_variant(full, *children[full])
+                lam, _ = tune_lambdas(self._candidate_lists(
+                    val_records, corpus, "kg", variants[full][0]), val_qrels, step)
+                lam_ref, _ = tune_lambdas(
+                    self._candidate_lists(val_records, corpus, "none"),
+                    val_qrels, step, fix_user_zero=True)
+                _, ref_report = _fuse_and_evaluate(
+                    "no-kg (two-stage)", lam_ref,
+                    self._candidate_lists(test_records, corpus, "none"), test_qrels)
+                # the variants at hand first, then each child's as it ends
+                pending = [label for label in children if label not in variants]
+                reports = {}
+                for label in [*variants, *pending]:
+                    if label in pending:
+                        variants[label] = _join_variant(label, *children[label])
+                    _, reports[label] = _fuse_and_evaluate(
+                        label, lam, self._candidate_lists(
+                            test_records, corpus, "kg", variants[label][0]),
+                        test_qrels)
+            finally:
+                for proc, conn in children.values():
+                    conn.close()
+                    if proc.is_alive():
+                        proc.terminate()
+                    proc.join()
 
-            lam, _ = tune_lambdas(self._candidate_lists(
-                val_records, corpus, "kg", variants[-1][1]), val_qrels, step)
             rows = []
             results = {"shared_lambdas": dataclasses.asdict(lam)}
-            for label, emb, n_triples in variants:
-                _, report = _fuse_and_evaluate(label, lam, self._candidate_lists(
-                    test_records, corpus, "kg", emb), test_qrels)
-                rows.append((label, report.means))
-                results[label] = {"metrics": report.means, "triples": n_triples}
-                log.info("ablate %s: %s", label, report.means)
-
-            lam_ref, _ = tune_lambdas(
-                self._candidate_lists(val_records, corpus, "none"),
-                val_qrels, step, fix_user_zero=True)
-            _, ref_report = _fuse_and_evaluate(
-                "no-kg (two-stage)", lam_ref,
-                self._candidate_lists(test_records, corpus, "none"), test_qrels)
+            for label, _ in kg_configs:
+                means = reports[label].means
+                rows.append((label, means))
+                results[label] = {"metrics": means, "triples": variants[label][1]}
+                log.info("ablate %s: %s", label, means)
             results["no-kg"] = {"lambdas": dataclasses.asdict(lam_ref),
                                 "metrics": ref_report.means}
             table = ablation_report(rows + [(ref_report.name, ref_report.means)])

@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -15,3 +16,15 @@ def small_synth():
                       n_topics=8, vocab_size=1600)
     corpus, authors = generate_synthetic(cfg, seed=13)
     return cfg, corpus, authors
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process alive, then stop the child."""
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:
+        proc.terminate()
+        proc.join()
+    if alive:
+        pytest.fail(f"child processes left running: {alive}")

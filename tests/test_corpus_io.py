@@ -309,9 +309,18 @@ _QUERY = {"query_id": "q2", "user_id": "u1", "text": "t", "year": 2010}
      "year", "1e999"),
     ("authors.jsonl", load_authors, {"author_id": "u1"}, {"author_id": "u2"},
      "author_id", "null"),
+    ("corpus.jsonl", load_corpus, doc_record("d1"), doc_record("d2"),
+     "title", "null"),
+    ("corpus.jsonl", load_corpus, doc_record("d1"), doc_record("d2"),
+     "title", "5"),
+    ("corpus.jsonl", load_corpus, doc_record("d1"), doc_record("d2"),
+     "abstract", '{"a": 1}'),
+    ("queries.jsonl", load_queries, {**_QUERY, "query_id": "q1"}, _QUERY,
+     "text", '["x"]'),
 ], ids=["author_ids-5", "references-7", "references-string", "year-1e999",
         "year-true", "year-2000.7", "doc_id-null", "query-year-1e999",
-        "author_id-null"])
+        "author_id-null", "title-null", "title-5", "abstract-object",
+        "query-text-list"])
 def test_wrong_field_type_names_file_and_line(tmp_path, name, load, first,
                                               record, field, raw):
     """A field of the wrong JSON type raises DataFormatError naming the file
@@ -341,14 +350,16 @@ def test_cli_ingest_of_a_string_reference_list_exits_3(tmp_path, capsys):
 
 def test_integer_ids_and_integral_years_still_load(tmp_path):
     """Ids may be integers and a year an integral float or an integer
-    string; each loads as it did before the type checks."""
+    string; each loads as it did before the type checks. A null abstract
+    loads as an empty one."""
     path = tmp_path / "c.jsonl"
-    write_jsonl(path, [doc_record(1, year="2001"),
+    write_jsonl(path, [doc_record(1, year="2001", abstract=None),
                        doc_record("d2", refs=[1], year=2002.0, author_ids=[7],
                                   venue_id=3)])
     corpus, _ = load_corpus(path)
     assert [(d.doc_id, d.year) for d in corpus.docs] == [("1", 2001),
                                                           ("d2", 2002)]
+    assert corpus.get("1").abstract == ""
     d2 = corpus.get("d2")
     assert (d2.references, d2.author_ids, d2.venue_id) == (["1"], ["7"], "3")
     write_jsonl(path, [{"author_id": 4, "affiliation_id": [9, 10]}])

@@ -273,6 +273,9 @@ def test_significance_examples():
     assert p1 == p2
     with pytest.raises(ValueError):
         significance_test([1.0], [1.0, 2.0])
+    for permutations in (-3, 0):
+        with pytest.raises(ValueError, match="permutations must be >= 1"):
+            significance_test([1.0], [2.0], permutations)
 
 
 metric_values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import json
+import multiprocessing
 import os
 import shutil
 import sys
@@ -12,8 +13,9 @@ import pytest
 
 from acadsearch import pipeline as pipeline_mod
 from acadsearch.cli import main
-from acadsearch.errors import (ConfigError, MissingArtifactError,
-                               StaleArtifactError)
+from acadsearch.errors import (ConfigError, DataFormatError,
+                               MissingArtifactError, StaleArtifactError)
+from acadsearch.kg_builder import EntityKind
 from acadsearch.pipeline import (DEFAULT_CONFIG, STAGES, Pipeline, load_config,
                                  merge_config, stage_config_hash)
 
@@ -153,6 +155,21 @@ def test_cli_encoder_dim_below_one_exit_1(tiny_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "encoder.dim" in err and "Traceback" not in err
     assert _snapshot(workdir / "dense") == before
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_cli_eval_permutations_below_one_exit_1(tiny_run, tmp_path, capsys,
+                                                value):
+    """eval.permutations below 1, which would report p = -0.5 or 1, exits 1
+    naming the key before `eval` writes."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    before = _snapshot(workdir / "eval")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet",
+                 "--set", f"eval.permutations={value}", "eval"]) == 1
+    err = capsys.readouterr().err
+    assert "eval.permutations" in err and "Traceback" not in err
+    assert _snapshot(workdir / "eval") == before
 
 
 def test_stage_config_hash_stability():
@@ -1024,24 +1041,98 @@ def test_ablate_makes_directories_only_for_trained_variants(tiny_run):
                   if p.is_dir()) == ["plus_venue", "user-only"]
 
 
-def test_ablation_variant_is_what_build_kg_and_train_kg_write(tiny_run, tmp_path):
-    """Every file in ablate/user-only/ equals, byte for byte, what
-    `build-kg` and `train-kg` write under the variant's two kg overrides."""
+@pytest.mark.parametrize("variant, include_venue", [("user-only", "false"),
+                                                    ("plus_venue", "true")])
+def test_ablation_variant_is_what_build_kg_and_train_kg_write(
+        tiny_run, tmp_path, variant, include_venue):
+    """Every file in ablate/<variant>/ equals, byte for byte, what
+    `build-kg` and `train-kg` write under the variant's two kg overrides,
+    whether the variant trained in the ablate process (user-only) or in the
+    child it forked (+venue)."""
     workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
     argv = ["--config", str(cfg_path), "--quiet",
-            "--set", "kg.include_venue=false",
+            "--set", f"kg.include_venue={include_venue}",
             "--set", "kg.include_affiliation=false"]
     assert main(argv + ["build-kg"]) == 0
     assert main(argv + ["train-kg"]) == 0
-    variant = workdir / "ablate" / "user-only"
+    _assert_variant_is_stage_output(workdir, variant)
+
+
+def test_ablate_trains_three_variants_when_none_is_the_configured_kg(
+        tiny_run, tmp_path):
+    """Under kg.include_venue=false, no variant is the configured KG: all
+    three train, two in forked children, and ablate/plus_affiliation/ holds
+    what `build-kg` and `train-kg` wrote under the full KG."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    assert main(["--config", str(cfg_path), "--quiet",
+                 "--set", "kg.include_venue=false", "ablate"]) == 0
+    _assert_variant_is_stage_output(workdir, "plus_affiliation")
+
+
+def _assert_variant_is_stage_output(workdir: Path, variant: str) -> None:
+    """ablate/<variant>/ holds, byte for byte, the files of kg/ and
+    kg_embed/transh/."""
+    variant_dir = workdir / "ablate" / variant
     written = {"triples.tsv": "kg", "stats.txt": "kg",
                "entities.bin": "kg_embed/transh",
                "entities.manifest.txt": "kg_embed/transh",
                "train_log.txt": "kg_embed/transh"}
-    assert sorted(p.name for p in variant.iterdir()) == sorted(written)
+    assert sorted(p.name for p in variant_dir.iterdir()) == sorted(written)
     for name, stage_dir in written.items():
-        assert ((variant / name).read_bytes()
+        assert ((variant_dir / name).read_bytes()
                 == (workdir / stage_dir / name).read_bytes()), name
+
+
+def _is_plus_venue(catalog) -> bool:
+    """Whether ``catalog`` is the +venue variant's: venues, no affiliations."""
+    venues = catalog.kind_range(EntityKind.VENUE)
+    affiliations = catalog.kind_range(EntityKind.AFFILIATION)
+    return venues[0] < venues[1] and affiliations[0] == affiliations[1]
+
+
+def test_cli_ablate_error_in_its_child_exit_3(tiny_run, tmp_path, capfd,
+                                              monkeypatch):
+    """A data error raised while the forked child trains the +venue variant
+    exits 3 with the child's message and no traceback from either process,
+    rewrites no ablate manifest and leaves no process running."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    train_kg = pipeline_mod.train_kg
+
+    def failing_on_plus_venue(triples, store, catalog, config):
+        if _is_plus_venue(catalog):
+            raise DataFormatError("bad +venue graph")
+        return train_kg(triples, store, catalog, config)
+
+    monkeypatch.setattr(pipeline_mod, "train_kg", failing_on_plus_venue)
+    manifest = workdir / "ablate" / "manifest.json"
+    before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+    capfd.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "ablate"]) == 3
+    err = capfd.readouterr().err
+    assert "acadsearch: error: bad +venue graph" in err
+    assert "Traceback" not in err
+    assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_ablate_stops_its_child(tiny_run, tmp_path, monkeypatch):
+    """An interrupt in the ablate process's own training, while its child
+    still trains, propagates at once and stops the child."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    train_kg = pipeline_mod.train_kg
+
+    def interrupted(triples, store, catalog, config):
+        if _is_plus_venue(catalog):   # the child, still busy when stopped
+            time.sleep(60)
+            return train_kg(triples, store, catalog, config)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline_mod, "train_kg", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        Pipeline(tiny_cfg(workdir)).stage_ablate()
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - started < 30
 
 
 def test_cli_missing_authors_file_exit_2(tiny_run, tmp_path, capsys):
