@@ -10,6 +10,7 @@ import logging
 import sys
 
 from .errors import AcadSearchError
+from .kg_embed import KG_MODELS
 from .pipeline import STAGES, Pipeline, load_config
 
 COMMANDS = (*STAGES, "end-to-end")
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         sub.add_parser(command)
     train_kg = sub.choices["train-kg"]
-    train_kg.add_argument("--model", choices=("transe", "transh"), default=None,
+    train_kg.add_argument("--model", choices=KG_MODELS, default=None,
                           help="override kg_train.model for this run")
     return parser
 

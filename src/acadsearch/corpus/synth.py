@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
 from .model import Author, Corpus, Document
 
 # Pseudoword syllables: consonant+vowel only, so generated words never end in
@@ -70,23 +69,6 @@ class SynthConfig:
     junior_first_prob: float = 0.6
     junior_coauthor_prob: float = 0.35
     authorless_prob: float = 0.01
-
-    def validate(self) -> None:
-        if self.n_docs < 2:
-            raise ConfigError(f"n_docs must be >= 2, got {self.n_docs}")
-        if self.vocab_size < 1:
-            raise ConfigError("vocabulary must be nonempty")
-        if self.n_topics < 1 or self.n_subtopics < 1:
-            raise ConfigError("n_topics and n_subtopics must be >= 1")
-        shared = int(self.vocab_size * self.shared_vocab_frac)
-        if (self.vocab_size - shared) // (self.n_topics * self.n_subtopics) < 2:
-            raise ConfigError("vocabulary too small for the requested "
-                              "topic/subtopic grid (needs a synonym pair "
-                              "per subtopic)")
-        if self.year_max < self.year_min:
-            raise ConfigError("year_max must be >= year_min")
-        if self.n_authors < 1 or self.n_venues < 1 or self.n_affiliations < 1:
-            raise ConfigError("need at least one author, venue, and affiliation")
 
 
 def _make_vocabulary(rng: np.random.Generator, size: int) -> list[str]:
@@ -147,10 +129,8 @@ class _Vocab:
         self.concept_cdf = _zipf_cdf(n_concepts).tolist()
 
 
-def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Corpus, list[Author]]:
+def generate_synthetic(cfg: SynthConfig, seed: int) -> tuple[Corpus, list[Author]]:
     """Generate a corpus plus author records; deterministic for a fixed seed."""
-    cfg = config
-    cfg.validate()
     rng = np.random.default_rng(seed)
     vocab = _Vocab(rng, cfg)
 

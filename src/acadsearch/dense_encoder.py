@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import DataFormatError
 from .lexical_index import tokenize
 from .optim import AdamW
 
@@ -146,9 +146,6 @@ class HashedBowEncoder:
     """Learned bucket table; texts embed as normalized means of token rows."""
 
     def __init__(self, dim: int = 64, buckets: int = 1 << 16, seed: int = 0):
-        if dim < 1 or buckets < 1:
-            raise ConfigError(f"encoder.dim and encoder.buckets must be >= 1, "
-                              f"got {dim} and {buckets}")
         self.dim = dim
         self.buckets = buckets
         rng = np.random.default_rng(seed)
@@ -241,10 +238,6 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
     Negatives for each query are the other positives in its batch. Returns
     the per-epoch mean batch loss. ``doc_texts`` maps ordinal -> text.
     """
-    if batch_size < 2:
-        raise ConfigError("batch_size must be >= 2 for in-batch negatives")
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if not pairs or epochs == 0:
         return []
     rng = np.random.default_rng(seed)

@@ -42,6 +42,7 @@ from .optim import AdamW
 
 log = logging.getLogger(__name__)
 
+KG_MODELS = ("transe", "transh")
 _REL_INDEX = {rel: i for i, rel in enumerate(RELATION_ORDER)}
 N_RELATIONS = len(RELATION_ORDER)
 
@@ -155,14 +156,6 @@ class KGTrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.model not in ("transe", "transh"):
-            raise ConfigError(f"unknown KG model {self.model!r}")
-        if self.margin <= 0 or self.lr <= 0 or self.batch_size < 1:
-            raise ConfigError("margin, lr, batch_size must be positive")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-
 
 def init_embeddings(catalog: EntityCatalog, store: DocEmbeddingStore,
                     config: KGTrainConfig) -> KGEmbeddings:
@@ -191,7 +184,6 @@ def init_embeddings(catalog: EntityCatalog, store: DocEmbeddingStore,
 def train_kg(triples: list[Triple], store: DocEmbeddingStore,
              catalog: EntityCatalog, config: KGTrainConfig) -> KGEmbeddings:
     """Train embeddings; document rows stay exactly as loaded from the store."""
-    config.validate()
     emb = init_embeddings(catalog, store, config)
     if config.epochs == 0 or not triples:
         return emb

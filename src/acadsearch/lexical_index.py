@@ -39,12 +39,6 @@ class BM25Params:
     k1: float = 0.9
     b: float = 0.4
 
-    def __post_init__(self):
-        if self.k1 <= 0:
-            raise ConfigError(f"k1 must be positive, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ConfigError(f"b must be in [0, 1], got {self.b}")
-
 
 class InvertedIndex:
     """Term -> postings of (doc ordinal, term frequency), ordinals in build order.

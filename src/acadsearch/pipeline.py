@@ -33,8 +33,8 @@ from .graph_baselines import (CitationGraph, pagerank_by_ordinal,
                               popularity_by_ordinal)
 from .kg_builder import (EntityCatalog, KGConfig, build_catalog, build_kg,
                          kg_stats, load_triples, save_triples)
-from .kg_embed import (KGEmbeddings, KGTrainConfig, load_kg_embeddings,
-                       save_kg_embeddings, train_kg)
+from .kg_embed import (KG_MODELS, KGEmbeddings, KGTrainConfig,
+                       load_kg_embeddings, save_kg_embeddings, train_kg)
 from .lexical_index import (BM25Params, build_index, load_index, retrieve_topk,
                             save_index, tokenize)
 from .user_models import (KG_METRICS, USER_CHANNELS, AggregationMode,
@@ -79,6 +79,49 @@ DEFAULT_CONFIG: dict = {
     "fusion": {"grid_step": 0.05, "user_channel": "kg", "aggregation": "max",
                "user_metric": "cosine", "include_transe": True},
     "eval": {"permutations": 10000},
+}
+
+
+def _one_of(choices) -> tuple:
+    return lambda v, _: v in choices, f"one of {', '.join(choices)}"
+
+
+# key -> (test of its value and the value's section, what a legal value is) for
+# each key that takes only some values of its type; Pipeline checks them in order
+CONFIG_RULES: dict[str, tuple] = {
+    **dict.fromkeys(["seed", "synth.refs_mean", "synth.refs_max",
+                     "encoder.epochs", "encoder.weight_decay",
+                     "encoder.train_year_gap", "kg_train.epochs",
+                     "kg_train.constraint_weight", "kg_train.constraint_eps",
+                     "kg_train.weight_decay"], (lambda v, _: v >= 0, ">= 0")),
+    **dict.fromkeys(["synth.n_authors", "synth.n_venues", "synth.n_affiliations",
+                     "synth.n_topics", "synth.n_subtopics",
+                     "split.max_train_queries", "split.max_val_queries",
+                     "split.max_test_queries", "bm25.depth", "encoder.dim",
+                     "encoder.buckets", "encoder.max_positives_per_query",
+                     "kg_train.batch_size", "eval.permutations"],
+                    (lambda v, _: v >= 1, ">= 1")),
+    **dict.fromkeys(["synth.n_docs", "encoder.batch_size"], (lambda v, _: v >= 2, ">= 2")),
+    **dict.fromkeys(["bm25.k1", "encoder.lr", "encoder.margin", "kg_train.lr",
+                     "kg_train.margin"], (lambda v, _: v > 0, "> 0")),
+    **dict.fromkeys(["bm25.b", *(f"synth.{key}" for key in DEFAULT_CONFIG["synth"]
+                                 if key.endswith("_prob"))],
+                    (lambda v, _: 0 <= v <= 1, "in [0, 1]")),
+    "synth.shared_vocab_frac": (lambda v, _: 0 <= v < 1, "in [0, 1)"),
+    **dict.fromkeys(["synth.title_len", "synth.abstract_len"], (
+        lambda v, _: 0 <= v[0] <= v[1], "[low, high] with 0 <= low <= high")),
+    "synth.year_max": (lambda v, s: v >= s["year_min"], ">= synth.year_min"),
+    # after the keys it reads, which are then in range
+    "synth.vocab_size": (lambda v, s: (v - int(v * s["shared_vocab_frac"]))
+                         // (s["n_topics"] * s["n_subtopics"]) >= 2,
+                         "large enough for a synonym pair per subtopic"),
+    "kg_train.model": _one_of(KG_MODELS),
+    "fusion.user_channel": _one_of(USER_CHANNELS),
+    "fusion.aggregation": _one_of([m.value for m in AggregationMode]),
+    "fusion.user_metric": _one_of(KG_METRICS),
+    # (0, 1] also rules out NaN and infinity; the tolerance is lambda_grid's
+    "fusion.grid_step": (lambda v, _: 0 < v <= 1 and abs(round(1 / v) * v - 1) <= 1e-9,
+                         "a number in (0, 1] that divides 1"),
 }
 
 # stage name -> (workdir subdirectory, config sections its manifest hashes);
@@ -414,19 +457,11 @@ class Pipeline:
         # only perfbench/workloads.py passes it; the next benchmark change deletes it
         if threads != 1:
             raise ConfigError(f"threads must be 1, got {threads!r}")
-        for key, choices in (("user_channel", USER_CHANNELS),
-                             ("aggregation", [m.value for m in AggregationMode]),
-                             ("user_metric", KG_METRICS)):
-            if (value := cfg["fusion"][key]) not in choices:
-                raise ConfigError(f"fusion.{key} must be one of "
-                                  f"{', '.join(choices)}; got {value!r}")
-        step = cfg["fusion"]["grid_step"]   # a number, as merge_config checks
-        # (0, 1] also rules out NaN and infinity; the tolerance is lambda_grid's
-        if not 0 < step <= 1 or abs(round(1 / step) * step - 1) > 1e-9:
-            raise ConfigError(f"fusion.grid_step must be a number in (0, 1] "
-                              f"that divides 1; got {step!r}")
-        if (permutations := cfg["eval"]["permutations"]) < 1:
-            raise ConfigError(f"eval.permutations must be >= 1, got {permutations}")
+        for key, (legal, rule) in CONFIG_RULES.items():
+            section, _, leaf = key.rpartition(".")
+            values = cfg[section] if section else cfg
+            if not legal(value := values[leaf], values):
+                raise ConfigError(f"config key {key!r} must be {rule}; got {value!r}")
         self.cfg = cfg
         self.force = force
         self.workdir = Path(cfg["paths"]["workdir"])
@@ -442,6 +477,8 @@ class Pipeline:
         """
         started = time.time()
         out = self.workdir / STAGES[name][0] / subdir
+        # the outermost directory this call creates, removed if the body fails
+        made = [d for d in (self.workdir, out.parent, out) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         self._reads: set[str] = set()
         self._checked: set[str] = set()
@@ -449,7 +486,13 @@ class Pipeline:
         # this stage's own manifest
         self._digests: dict[str, str] = {}
         self._catalog: EntityCatalog | None = None
-        yield out
+        try:
+            yield out
+        except BaseException:
+            if made:
+                import shutil   # only a failed stage needs it
+                shutil.rmtree(made[0], ignore_errors=True)
+            raise
         manifest = {
             "stage": name,
             "version": MANIFEST_VERSION,
@@ -568,9 +611,6 @@ class Pipeline:
 
     def stage_splits(self) -> None:
         scfg = self.cfg["split"]
-        for key in ("max_train_queries", "max_val_queries", "max_test_queries"):
-            if scfg[key] < 1:
-                raise ConfigError(f"split.{key} must be >= 1, got {scfg[key]}")
         with self._stage("splits") as out:
             corpus = self._load_corpus()
             index = load_index(self._input("index/index.bin"))

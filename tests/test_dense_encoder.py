@@ -12,7 +12,7 @@ from acadsearch.dense_encoder import (_GATHER_TEXTS, _INIT_ROWS, _STEP_ROWS,
                                       load_embedding_matrix,
                                       load_precomputed_embeddings,
                                       save_embedding_matrix, train_encoder)
-from acadsearch.errors import ConfigError, DataFormatError
+from acadsearch.errors import DataFormatError
 from acadsearch.optim import AdamW
 from oracles import (NaiveAdamW, central_difference, naive_encode_batch,
                      naive_encoder_step, relative_error, same_bits,
@@ -132,11 +132,6 @@ def test_train_encoder_zero_epochs_is_identity(encoder, small_synth):
     before = encoder.table.copy()
     train_encoder(encoder, pairs, texts, epochs=0)
     assert np.array_equal(encoder.table, before)
-
-
-def test_train_encoder_batch_size_validation(encoder):
-    with pytest.raises(ConfigError):
-        train_encoder(encoder, [("q", 0)], ["text"], epochs=1, batch_size=1)
 
 
 def test_train_encoder_loss_decreases(small_synth):

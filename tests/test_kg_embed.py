@@ -256,10 +256,6 @@ def test_train_kg_validation_errors(tiny_kg):
     bad_store = DocEmbeddingStore(np.ones((3, 8)))
     with pytest.raises(ConfigError, match="document"):
         train_kg(triples, bad_store, catalog, KGTrainConfig(epochs=0))
-    with pytest.raises(ConfigError):
-        KGTrainConfig(model="rotate").validate()
-    with pytest.raises(ConfigError):
-        KGTrainConfig(epochs=-1).validate()
 
 
 def test_entity_vector_flags(tiny_kg):

@@ -41,13 +41,6 @@ def test_build_index_empty_corpus_errors():
         build_index([])
 
 
-def test_bm25_params_validation():
-    with pytest.raises(ConfigError):
-        BM25Params(k1=0.0)
-    with pytest.raises(ConfigError):
-        BM25Params(b=1.5)
-
-
 def test_bm25_hand_formula():
     """3-doc corpus from first principles, evaluated at 1e-12."""
     index = build_index([("d0", "a b"), ("d1", "a a b"), ("d2", "c")])

@@ -172,6 +172,101 @@ def test_cli_eval_permutations_below_one_exit_1(tiny_run, tmp_path, capsys,
     assert _snapshot(workdir / "eval") == before
 
 
+_PROB_KEYS = [f"synth.{key}" for key in DEFAULT_CONFIG["synth"]
+              if key.endswith("_prob")]
+
+# every key with a range rule -> its nearest illegal values, with every other
+# key at its default
+_ILLEGAL = {
+    **dict.fromkeys(["seed", "synth.refs_max", "encoder.epochs",
+                     "encoder.weight_decay", "encoder.train_year_gap",
+                     "kg_train.epochs", "kg_train.constraint_weight",
+                     "kg_train.constraint_eps", "kg_train.weight_decay"], [-1]),
+    "synth.refs_mean": [-1, float("nan")],
+    **dict.fromkeys(["synth.n_authors", "synth.n_venues", "synth.n_affiliations",
+                     "synth.n_topics", "synth.n_subtopics",
+                     "split.max_train_queries", "split.max_val_queries",
+                     "split.max_test_queries", "bm25.depth", "encoder.dim",
+                     "encoder.buckets", "encoder.max_positives_per_query",
+                     "kg_train.batch_size", "eval.permutations"], [0]),
+    **dict.fromkeys(["synth.n_docs", "encoder.batch_size"], [1]),
+    **dict.fromkeys(["bm25.k1", "encoder.lr", "encoder.margin", "kg_train.lr",
+                     "kg_train.margin"], [0, -1e-9]),
+    **dict.fromkeys(["bm25.b", *_PROB_KEYS], [-0.1, 1.5]),
+    "synth.shared_vocab_frac": [-0.1, 1, float("nan")],
+    **dict.fromkeys(["synth.title_len", "synth.abstract_len"], [[5, 2], [-1, 2]]),
+    "synth.year_max": [1999],   # year_min is 2000
+    # 25 topics x 8 subtopics, a fifth of the words shared: 499 is the least
+    # vocabulary with a synonym pair per subtopic
+    "synth.vocab_size": [0, 498],
+    "kg_train.model": ["rotate"],
+    "fusion.user_channel": ["bogus"],
+    "fusion.aggregation": ["median"],
+    "fusion.user_metric": ["manhattan"],
+    "fusion.grid_step": [0, -0.5, 0.3, 1.5, float("nan")],
+}
+
+# (key named, values that are legal alone but not together)
+_ILLEGAL_TOGETHER = [
+    ("synth.vocab_size", {"synth.n_topics": 30, "synth.n_subtopics": 10,
+                          "synth.vocab_size": 100}),
+    ("synth.year_max", {"synth.year_min": 2010, "synth.year_max": 2009}),
+]
+
+# legal values at the edge of each rule; epochs 0 gives an untrained baseline
+_LEGAL_EDGES = [
+    ("seed", 0), ("encoder.epochs", 0), ("kg_train.epochs", 0),
+    ("encoder.weight_decay", 0), ("kg_train.weight_decay", 0),
+    ("encoder.train_year_gap", 0), ("kg_train.constraint_eps", 0),
+    ("synth.refs_mean", 0), ("synth.refs_max", 0), ("bm25.b", 0), ("bm25.b", 1),
+    ("synth.stopword_prob", 0), ("synth.authorless_prob", 1),
+    ("synth.shared_vocab_frac", 0), ("synth.title_len", [0, 0]),
+    ("synth.abstract_len", [3, 3]), ("synth.n_docs", 2),
+    ("synth.vocab_size", 499), ("synth.year_max", 2000),
+    ("encoder.batch_size", 2), ("kg_train.batch_size", 1), ("bm25.depth", 1),
+    ("eval.permutations", 1), ("encoder.lr", 1e-12), ("kg_train.model", "transe"),
+    ("fusion.user_channel", "none"), ("fusion.grid_step", 1),
+]
+
+
+def test_cli_out_of_range_config_value_exit_1(tmp_path, capsys):
+    """A value outside its key's rule in pipeline.CONFIG_RULES exits 1
+    naming the key, through --set and through a config file, before any
+    stage writes; so does one that breaks a rule between two keys."""
+    workdir = tmp_path / "w"
+    cfg_path = tmp_path / "cfg.json"
+    cases = [(name, {name: value}) for name, values in _ILLEGAL.items()
+             for value in values] + _ILLEGAL_TOGETHER
+    for name, values in cases:
+        sets, nested = [], {}
+        for key, value in values.items():
+            sets += ["--set", f"{key}={json.dumps(value)}"]
+            section, _, leaf = key.rpartition(".")
+            (nested.setdefault(section, {}) if section else nested)[leaf] = value
+        cfg_path.write_text(json.dumps(nested))
+        for argv in (sets, ["--config", str(cfg_path)]):
+            capsys.readouterr()
+            assert main(argv + ["--workdir", str(workdir), "--quiet",
+                                "synth"]) == 1, (name, values)
+            err = capsys.readouterr().err
+            assert f"config key {name!r}" in err, (name, values, err)
+            assert "Traceback" not in err
+    capsys.readouterr()
+    assert main(["--seed", "-1", "--workdir", str(workdir), "--quiet",
+                 "synth"]) == 1
+    assert "config key 'seed'" in capsys.readouterr().err
+    assert not workdir.exists()
+
+
+def test_config_rules_cover_leaves_and_pass_defaults_and_edges():
+    leaves = {name for name, _ in _leaves(DEFAULT_CONFIG)}
+    assert set(pipeline_mod.CONFIG_RULES) <= leaves
+    assert set(_ILLEGAL) == set(pipeline_mod.CONFIG_RULES)
+    Pipeline(merge_config(None))
+    for name, value in _LEGAL_EDGES:
+        Pipeline(load_config(None, [f"{name}={json.dumps(value)}"]))
+
+
 def test_stage_config_hash_stability():
     cfg = merge_config(None)
     h1 = stage_config_hash(cfg, "synth")
@@ -1211,6 +1306,22 @@ def test_cli_stage_missing_an_input_leaves_its_directory_untouched(
                 os.replace(aside, workdir / rel)
             assert rel in capsys.readouterr().err, (stage, rel)
             assert _snapshot(own) == before, (stage, rel)
+
+
+def test_cli_failed_stage_leaves_no_directory_it_created(tiny_run, tmp_path,
+                                                          capsys):
+    """Each stage from `splits` to `ablate`, run on a workdir that holds only
+    `corpus/`, exits 2 and removes the outermost directory it created, which
+    for `train-kg` is `kg_embed/` itself."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    shutil.rmtree(workdir)
+    shutil.copytree(tiny_run[1] / "corpus", workdir / "corpus")
+    for stage in ("splits", "train-dense", "embed", "build-kg", "train-kg",
+                  "score", "tune", "eval", "ablate"):
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "--quiet", stage]) == 2, stage
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in workdir.iterdir()] == ["corpus"], stage
 
 
 def test_cli_copied_ingest_workdir_stays_fresh(tiny_run, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from acadsearch.corpus import (SynthConfig, generate_synthetic, save_authors,
                                save_corpus)
 from acadsearch.corpus.synth import _Vocab
-from acadsearch.errors import ConfigError
 from acadsearch.lexical_index import tokenize
 
 # the 1,200-document corpus of the benchmark's ``bench`` scale
@@ -97,17 +96,6 @@ def test_single_topic_shares_vocabulary():
                       n_topics=1, n_subtopics=2, vocab_size=200)
     corpus, _ = generate_synthetic(cfg, seed=1)
     assert set(corpus.extras["doc_topics"]) == {0}
-
-
-def test_config_errors():
-    with pytest.raises(ConfigError):
-        generate_synthetic(SynthConfig(n_docs=1), seed=0)
-    with pytest.raises(ConfigError):
-        generate_synthetic(SynthConfig(n_docs=10, vocab_size=0), seed=0)
-    with pytest.raises(ConfigError):
-        # not enough words for a synonym pair per subtopic
-        generate_synthetic(SynthConfig(n_docs=10, n_topics=30, n_subtopics=10,
-                                       vocab_size=100), seed=0)
 
 
 def test_structure_invariants(small_synth):
