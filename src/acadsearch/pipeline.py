@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ from .corpus.io import read_records
 from .dense_encoder import (HashedBowEncoder, embed_corpus,
                             load_precomputed_embeddings, train_encoder)
 from .errors import (AcadSearchError, ConfigError, DataFormatError,
-                     MissingArtifactError, StaleArtifactError)
+                     MissingArtifactError, SplitError, StaleArtifactError)
 from .fusion_eval import (CandidateList, Lambdas, MetricReport, ablation_report,
                           evaluate_run, fuse, metrics_table,
                           significance_test, tune_lambdas, write_run)
@@ -93,7 +94,8 @@ CONFIG_RULES: dict[str, tuple] = {
                      "encoder.epochs", "encoder.weight_decay",
                      "encoder.train_year_gap", "kg_train.epochs",
                      "kg_train.constraint_weight", "kg_train.constraint_eps",
-                     "kg_train.weight_decay"], (lambda v, _: v >= 0, ">= 0")),
+                     "kg_train.weight_decay"],
+                    (lambda v, _: 0 <= v < math.inf, "finite and >= 0")),
     **dict.fromkeys(["synth.n_authors", "synth.n_venues", "synth.n_affiliations",
                      "synth.n_topics", "synth.n_subtopics",
                      "split.max_train_queries", "split.max_val_queries",
@@ -103,7 +105,8 @@ CONFIG_RULES: dict[str, tuple] = {
                     (lambda v, _: v >= 1, ">= 1")),
     **dict.fromkeys(["synth.n_docs", "encoder.batch_size"], (lambda v, _: v >= 2, ">= 2")),
     **dict.fromkeys(["bm25.k1", "encoder.lr", "encoder.margin", "kg_train.lr",
-                     "kg_train.margin"], (lambda v, _: v > 0, "> 0")),
+                     "kg_train.margin"],
+                    (lambda v, _: 0 < v < math.inf, "finite and > 0")),
     **dict.fromkeys(["bm25.b", *(f"synth.{key}" for key in DEFAULT_CONFIG["synth"]
                                  if key.endswith("_prob"))],
                     (lambda v, _: 0 <= v <= 1, "in [0, 1]")),
@@ -383,22 +386,17 @@ def _train_kg(triples, catalog, store, config: KGTrainConfig,
     return emb
 
 
-def _ablation_variant(corpus, cutoff_year: int, kg_config: KGConfig, store,
-                      config: KGTrainConfig, out: Path
-                      ) -> tuple[KGEmbeddings, int]:
-    """One ablation variant built and trained into ``out`` by the code of
-    `build-kg` and `train-kg`: (its model, its number of triples)."""
-    out.mkdir(exist_ok=True)
-    triples, catalog = _build_kg(corpus, cutoff_year, kg_config, out)
-    return _train_kg(triples, catalog, store, config, out), len(triples)
-
-
-def _variant_child(conn, *args) -> None:
-    """Forked process body: sends _ablation_variant's result, or whatever it
-    raised, to the parent, which raises it there; so the child prints no
-    traceback, and an interrupt ends it quietly."""
+def _variant_child(conn, corpus, cutoff_year: int, kg_config: KGConfig, store,
+                   config: KGTrainConfig, out: Path) -> None:
+    """Forked process body: builds and trains one ablation variant into
+    ``out`` by the code of `build-kg` and `train-kg`, and sends (its model,
+    its number of triples), or whatever it raised, to the parent, which
+    raises it there; so the child prints no traceback, and an interrupt ends
+    it quietly."""
     try:
-        result = _ablation_variant(*args)
+        out.mkdir(exist_ok=True)
+        triples, catalog = _build_kg(corpus, cutoff_year, kg_config, out)
+        result = _train_kg(triples, catalog, store, config, out), len(triples)
     except BaseException as exc:   # raised again by the parent
         result = exc
     with contextlib.suppress(BaseException):   # the parent may be gone
@@ -642,6 +640,10 @@ class Pipeline:
             train_queries = [q for q in train_queries if q.query_id in train_qrels]
             val_queries = [q for q in val_queries if q.query_id in val_qrels]
             test_queries = [q for q in test_queries if q.query_id in test_qrels]
+            for name, kept in (("validation", val_queries), ("test", test_queries)):
+                if not kept:
+                    raise SplitError(f"the {name} split has no query left: a query "
+                                     "needs title words and a relevant document")
             corpus_mod.save_queries(train_queries, out / "train_queries.jsonl")
             corpus_mod.save_queries(val_queries, out / "val_queries.jsonl")
             corpus_mod.save_queries(test_queries, out / "test_queries.jsonl")
@@ -950,44 +952,37 @@ class Pipeline:
             kg_configs = [(label, dataclasses.replace(main_kg, **overrides))
                           for label, overrides in self.ABLATION_VARIANTS]
             # a variant identical to the configured KG reuses its model, read
-            # before any variant trains so that a stale one fails at once
-            main_emb = (self._load_kg_embeddings(config.model, corpus)
-                        if any(kg == main_kg for _, kg in kg_configs) else None)
-            variants = {label: (main_emb, None)
-                        for label, kg in kg_configs if kg == main_kg}
-            # at least two variants differ from the configured KG
-            (first, first_args), *others = [
-                (label, (corpus, cutoff, kg, store, config,
-                         out / label.replace("+", "plus_")))
-                for label, kg in kg_configs if kg != main_kg]
+            # before any child forks so that a stale one fails at once
+            variants = {
+                label: (self._load_kg_embeddings(config.model, corpus), None)
+                for label, kg in kg_configs if kg == main_kg}
             # Every input is read above, so no read is made in a child, where
             # the manifest would miss it. Each training is seeded from its own
             # config, so running them side by side changes no byte.
-            children = {label: _fork_variant(label, *args)
-                        for label, args in others}
+            children = {label: _fork_variant(
+                label, corpus, cutoff, kg, store, config,
+                out / label.replace("+", "plus_"))
+                for label, kg in kg_configs if kg != main_kg}
+
+            def model(label: str) -> KGEmbeddings:
+                if label not in variants:
+                    variants[label] = _join_variant(label, *children[label])
+                return variants[label][0]
+
             try:
-                variants[first] = _ablation_variant(*first_args)
-                full = kg_configs[-1][0]
-                if full in children:
-                    variants[full] = _join_variant(full, *children[full])
                 lam, _ = tune_lambdas(self._candidate_lists(
-                    val_records, corpus, "kg", variants[full][0]), val_qrels, step)
+                    val_records, corpus, "kg", model(kg_configs[-1][0])),
+                    val_qrels, step)
                 lam_ref, _ = tune_lambdas(
                     self._candidate_lists(val_records, corpus, "none"),
                     val_qrels, step, fix_user_zero=True)
                 _, ref_report = _fuse_and_evaluate(
                     "no-kg (two-stage)", lam_ref,
                     self._candidate_lists(test_records, corpus, "none"), test_qrels)
-                # the variants at hand first, then each child's as it ends
-                pending = [label for label in children if label not in variants]
-                reports = {}
-                for label in [*variants, *pending]:
-                    if label in pending:
-                        variants[label] = _join_variant(label, *children[label])
-                    _, reports[label] = _fuse_and_evaluate(
-                        label, lam, self._candidate_lists(
-                            test_records, corpus, "kg", variants[label][0]),
-                        test_qrels)
+                reports = {label: _fuse_and_evaluate(
+                    label, lam, self._candidate_lists(
+                        test_records, corpus, "kg", model(label)), test_qrels)[1]
+                    for label, _ in kg_configs}
             finally:
                 for proc, conn in children.values():
                     conn.close()

@@ -4,7 +4,9 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -179,10 +181,11 @@ _PROB_KEYS = [f"synth.{key}" for key in DEFAULT_CONFIG["synth"]
 # key at its default
 _ILLEGAL = {
     **dict.fromkeys(["seed", "synth.refs_max", "encoder.epochs",
-                     "encoder.weight_decay", "encoder.train_year_gap",
-                     "kg_train.epochs", "kg_train.constraint_weight",
-                     "kg_train.constraint_eps", "kg_train.weight_decay"], [-1]),
-    "synth.refs_mean": [-1, float("nan")],
+                     "encoder.train_year_gap", "kg_train.epochs"], [-1]),
+    **dict.fromkeys(["encoder.weight_decay", "kg_train.constraint_weight",
+                     "kg_train.constraint_eps", "kg_train.weight_decay"],
+                    [-1, float("inf")]),
+    "synth.refs_mean": [-1, float("nan"), float("inf")],
     **dict.fromkeys(["synth.n_authors", "synth.n_venues", "synth.n_affiliations",
                      "synth.n_topics", "synth.n_subtopics",
                      "split.max_train_queries", "split.max_val_queries",
@@ -191,7 +194,7 @@ _ILLEGAL = {
                      "kg_train.batch_size", "eval.permutations"], [0]),
     **dict.fromkeys(["synth.n_docs", "encoder.batch_size"], [1]),
     **dict.fromkeys(["bm25.k1", "encoder.lr", "encoder.margin", "kg_train.lr",
-                     "kg_train.margin"], [0, -1e-9]),
+                     "kg_train.margin"], [0, -1e-9, float("inf")]),
     **dict.fromkeys(["bm25.b", *_PROB_KEYS], [-0.1, 1.5]),
     "synth.shared_vocab_frac": [-0.1, 1, float("nan")],
     **dict.fromkeys(["synth.title_len", "synth.abstract_len"], [[5, 2], [-1, 2]]),
@@ -969,6 +972,24 @@ def test_cli_splits_is_a_stage_of_its_own(tmp_path, capsys):
     assert (workdir / "splits" / "split.json").exists()
 
 
+def test_cli_split_without_a_query_exit_3(tmp_path, capsys):
+    """Under synth.title_len=[0, 0], a legal config, no document yields a
+    query: `synth` succeeds and `splits` exits 3 naming the validation split,
+    with no traceback and no splits directory."""
+    workdir = tmp_path / "w"
+    argv = ["--workdir", str(workdir), "--quiet",
+            "--set", f"synth={json.dumps(TINY['synth'])}",
+            "--set", "synth.title_len=[0, 0]"]
+    assert main(argv + ["synth"]) == 0
+    assert main(argv + ["index"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["splits"]) == 3
+    err = capsys.readouterr().err
+    assert "the validation split has no query left" in err
+    assert "Traceback" not in err
+    assert not (workdir / "splits").exists()
+
+
 def test_threads_option_is_gone(tmp_path, capsys):
     assert main(["--threads", "2", "synth"]) == 1
     err = capsys.readouterr().err
@@ -1138,16 +1159,16 @@ def test_ablate_makes_directories_only_for_trained_variants(tiny_run):
 
 def test_ablation_variant_is_what_build_kg_and_train_kg_write(tiny_run,
                                                               tmp_path):
-    """Every file in ablate/user-only/, the variant the ablate process
-    trains itself, equals, byte for byte, what `build-kg` and `train-kg`
-    write under the variant's two kg overrides."""
+    """Every file in ablate/user-only/, the variant trained in the first
+    child the ablate process forks, equals, byte for byte, what `build-kg`
+    and `train-kg` write under the variant's two kg overrides."""
     _assert_variant_matches_stages(tiny_run, tmp_path, "user-only", "false")
 
 
 def test_forked_ablation_variant_is_what_build_kg_and_train_kg_write(
         tiny_run, tmp_path):
     """The same holds for ablate/plus_venue/, the variant trained in the
-    child the ablate process forked."""
+    second child the ablate process forks."""
     _assert_variant_matches_stages(tiny_run, tmp_path, "plus_venue", "true")
 
 
@@ -1167,7 +1188,7 @@ def _assert_variant_matches_stages(tiny_run, tmp_path, variant: str,
 def test_ablate_trains_three_variants_when_none_is_the_configured_kg(
         tiny_run, tmp_path):
     """Under kg.include_venue=false, no variant is the configured KG: all
-    three train, two in forked children, and ablate/plus_affiliation/ holds
+    three train, each in a forked child, and ablate/plus_affiliation/ holds
     what `build-kg` and `train-kg` wrote under the full KG."""
     workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
     assert main(["--config", str(cfg_path), "--quiet",
@@ -1222,8 +1243,9 @@ def test_cli_ablate_error_in_its_child_exit_3(tiny_run, tmp_path, capfd,
 
 
 def test_interrupted_ablate_stops_its_child(tiny_run, tmp_path, monkeypatch):
-    """An interrupt in the ablate process's own training, while its child
-    still trains, propagates at once and stops the child."""
+    """An interrupt in the training of a child, the user-only variant's,
+    reaches the ablate process when it joins that child, propagates at once
+    and stops the other child, which still trains."""
     workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
     train_kg = pipeline_mod.train_kg
 
@@ -1239,6 +1261,56 @@ def test_interrupted_ablate_stops_its_child(tiny_run, tmp_path, monkeypatch):
         Pipeline(tiny_cfg(workdir)).stage_ablate()
     assert multiprocessing.active_children() == []
     assert time.monotonic() - started < 30
+
+
+def test_interrupt_while_ablate_waits_for_a_child_stops_every_child(
+        tiny_run, tmp_path, monkeypatch):
+    """SIGINT delivered to the ablate process itself, while it waits in
+    _join_variant for children that still train, raises KeyboardInterrupt
+    within seconds and leaves no child running."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    join_variant = pipeline_mod._join_variant
+
+    def busy(*args, **kwargs):   # every child sleeps where it would train
+        time.sleep(60)
+
+    def interrupt_the_wait(*args):
+        threading.Timer(0.5, signal.pthread_kill,
+                        (threading.main_thread().ident, signal.SIGINT)).start()
+        return join_variant(*args)
+
+    monkeypatch.setattr(pipeline_mod, "train_kg", busy)
+    monkeypatch.setattr(pipeline_mod, "_join_variant", interrupt_the_wait)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        Pipeline(tiny_cfg(workdir)).stage_ablate()
+    assert time.monotonic() - started < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kg, trained", [
+    pytest.param({}, ["plus_venue", "user-only"], id="tiny"),
+    pytest.param({"include_venue": False},
+                 ["plus_affiliation", "plus_venue", "user-only"], id="no-venue"),
+])
+def test_ablate_process_trains_no_variant(tiny_run, tmp_path, monkeypatch, kg,
+                                          trained):
+    """Every variant that needs training trains in a forked child, none in
+    the ablate process itself."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    ablate_pid = os.getpid()
+    train_kg = pipeline_mod.train_kg
+
+    def only_in_children(*args):
+        if os.getpid() == ablate_pid:
+            raise AssertionError("the ablate process trained a KG variant")
+        return train_kg(*args)
+
+    monkeypatch.setattr(pipeline_mod, "train_kg", only_in_children)
+    shutil.rmtree(workdir / "ablate")
+    Pipeline(tiny_cfg(workdir, kg=kg)).stage_ablate()
+    assert sorted(p.name for p in (workdir / "ablate").iterdir()
+                  if p.is_dir()) == trained
 
 
 def test_cli_missing_authors_file_exit_2(tiny_run, tmp_path, capsys):
