@@ -12,10 +12,14 @@ Training minimizes, per (query, positive) pair,
 
 with negatives taken from the other positives in the same batch, optimized
 by AdamW. A step sums token gradients for the buckets its batch touched
-only and hands the optimizer those rows (``AdamW.step(..., rows=)``); the
-optimizer walks the table in cache-sized blocks and fills each block's
-gradient from them, +0.0 elsewhere. Both do the arithmetic of a full-table
-step in the same order, so the trained table is the same bit for bit, and
+only and hands the optimizer those rows (``AdamW.step(..., rows=)``). The
+optimizer steps only the warm rows, those that have had a gradient; most
+buckets never do. A cold row's moments and gradient are +0.0, so a step
+would only decay it, ``p -= (+0.0 + p * wd) * lr``, and ``AdamW.settle``
+replays those steps, the same operations in the same order, just before
+the row is first read: a step settles its batch's rows before the forward
+pass, and training settles the whole table before it returns. So the
+trained table is the same bit for bit as full-table steps give, and
 training holds no table-sized array besides the table and AdamW's moments.
 The rest is block-sized too: the table is drawn in row chunks, a step's
 forward pass gathers token rows a chunk of texts at a time, and its
@@ -241,11 +245,10 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
     if not pairs or epochs == 0:
         return []
     rng = np.random.default_rng(seed)
-    query_ids = [encoder.bucket_ids(q) for q, _ in pairs]
-    doc_ids_cache: dict[int, np.ndarray] = {}
-    for _, o in pairs:
-        if o not in doc_ids_cache:
-            doc_ids_cache[o] = encoder.bucket_ids(doc_texts[o])
+    # a query repeats once per positive; each distinct text is bucketed once
+    text_ids = {q: encoder.bucket_ids(q) for q in {q for q, _ in pairs}}
+    query_ids = [text_ids[q] for q, _ in pairs]
+    doc_ids = {o: encoder.bucket_ids(doc_texts[o]) for o in {o for _, o in pairs}}
     opt = AdamW(encoder.table.shape, lr=lr, weight_decay=weight_decay,
                 dtype=encoder.table.dtype)
     n = len(pairs)
@@ -258,13 +261,14 @@ def train_encoder(encoder: HashedBowEncoder, pairs: list[tuple[str, int]],
             if len(batch) < 2:
                 continue
             q_ids = [query_ids[i] for i in batch]
-            p_ids = [doc_ids_cache[pairs[i][1]] for i in batch]
+            p_ids = [doc_ids[pairs[i][1]] for i in batch]
             epoch_losses.append(
                 _encoder_step(encoder.table, q_ids, p_ids, margin, opt))
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
         losses.append(mean_loss)
         log.info("encoder epoch %d/%d: mean batch loss %.6f",
                  epoch + 1, epochs, mean_loss)
+    opt.settle(encoder.table)
     return losses
 
 
@@ -272,7 +276,10 @@ def _encoder_step(table, q_ids, p_ids, margin, opt) -> float:
     """One AdamW step on a batch; the gradient goes to ``opt`` by touched row."""
     b = len(q_ids)
     dim = table.shape[1]
-    vecs, norms, all_ids, lengths = _encode_batch(table, q_ids + p_ids)
+    # the batch's rows, brought up to date before the forward pass reads them
+    touched, slot = np.unique(np.concatenate(q_ids + p_ids), return_inverse=True)
+    opt.settle(table, touched)
+    vecs, norms, _, lengths = _encode_batch(table, q_ids + p_ids)
     Q, P = vecs[:b], vecs[b:]
 
     # The (b, b, dim) distance maths runs on blocks of ``_STEP_ROWS`` query
@@ -329,7 +336,6 @@ def _encoder_step(table, q_ids, p_ids, margin, opt) -> float:
     # order from 0.0, and storing into the table's dtype rounds each sum once.
     nonempty = lengths > 0
     text_grads, text_lengths = grad_vecs[nonempty], lengths[nonempty]
-    touched, slot = np.unique(all_ids, return_inverse=True)
     vals = np.empty((len(touched), dim), dtype=table.dtype)
     for c in range(dim):
         weights = np.repeat(text_grads[:, c], text_lengths)

@@ -238,15 +238,22 @@ def _parse(members: dict, value: str, what: str):
 
 
 def load_triples(path: str | Path, catalog: EntityCatalog) -> list[Triple]:
+    """Each distinct entity field is resolved once: only a line with a new
+    field or a bad relation takes the full parse, which raises on faults."""
+    ordinals: dict[str, int] = {}
     triples: list[Triple] = []
     for lineno, (h, r, t) in read_fields(path, 3, "\t"):
-        try:
-            hk, hid = h.split(":", 1)
-            tk, tid = t.split(":", 1)
-            head = catalog.ordinal(_parse(_KIND_BY_VALUE, hk, "entity kind"), hid)
-            relation = _parse(_RELATION_BY_VALUE, r, "relation")
-            tail = catalog.ordinal(_parse(_KIND_BY_VALUE, tk, "entity kind"), tid)
-        except (ValueError, KeyError) as exc:
-            raise DataFormatError(f"{path}: bad triple on line {lineno}: {exc}") from None
+        head, tail = ordinals.get(h), ordinals.get(t)
+        relation = _RELATION_BY_VALUE.get(r)
+        if head is None or relation is None or tail is None:
+            try:
+                hk, hid = h.split(":", 1)
+                tk, tid = t.split(":", 1)
+                head = catalog.ordinal(_parse(_KIND_BY_VALUE, hk, "entity kind"), hid)
+                relation = _parse(_RELATION_BY_VALUE, r, "relation")
+                tail = catalog.ordinal(_parse(_KIND_BY_VALUE, tk, "entity kind"), tid)
+            except (ValueError, KeyError) as exc:
+                raise DataFormatError(f"{path}: bad triple on line {lineno}: {exc}") from None
+            ordinals[h], ordinals[t] = head, tail
         triples.append(Triple(head, relation, tail))
     return triples

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -352,6 +353,13 @@ def _load_candidates(path: Path, corpus) -> list[dict]:
     return records
 
 
+def _cpu_s() -> float:
+    """CPU seconds, user and system, of this process and its joined children."""
+    return sum(r.ru_utime + r.ru_stime for r in (
+        resource.getrusage(resource.RUSAGE_SELF),
+        resource.getrusage(resource.RUSAGE_CHILDREN)))
+
+
 def _write_train_log(path: Path, losses: list[float]) -> None:
     path.write_text("".join(f"epoch {i + 1} mean_loss {loss:.8f}\n"
                             for i, loss in enumerate(losses)), encoding="utf-8")
@@ -470,10 +478,11 @@ class Pipeline:
     def _stage(self, name: str, subdir: str = ""):
         """Yield the stage's output directory; on success write its manifest.
 
-        The manifest records the config sections the stage depends on and a
-        sha256 of every file the body read through :meth:`_input`.
+        The manifest records the config sections the stage depends on, a
+        sha256 of every file the body read through :meth:`_input`, and the
+        stage's wall time and CPU time, its joined children's included.
         """
-        started = time.time()
+        started, cpu = time.time(), _cpu_s()
         out = self.workdir / STAGES[name][0] / subdir
         # the outermost directory this call creates, removed if the body fails
         made = [d for d in (self.workdir, out.parent, out) if not d.exists()]
@@ -498,6 +507,7 @@ class Pipeline:
             "config": _stage_config(self.cfg, name),
             "inputs": {rel: self._digest(rel) for rel in self._reads},
             "duration_s": round(time.time() - started, 3),
+            "cpu_s": round(_cpu_s() - cpu, 3),
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

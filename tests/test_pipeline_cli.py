@@ -3,6 +3,7 @@ import functools
 import json
 import multiprocessing
 import os
+import resource
 import shutil
 import signal
 import sys
@@ -1311,6 +1312,36 @@ def test_ablate_process_trains_no_variant(tiny_run, tmp_path, monkeypatch, kg,
     Pipeline(tiny_cfg(workdir, kg=kg)).stage_ablate()
     assert sorted(p.name for p in (workdir / "ablate").iterdir()
                   if p.is_dir()) == trained
+
+
+def test_ablate_manifest_cpu_counts_its_children(tiny_run, tmp_path,
+                                                 monkeypatch):
+    """``cpu_s`` is the stage's CPU with its joined children's: here each of
+    the two variant children burns 0.5 s before it trains."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    train_kg = pipeline_mod.train_kg
+
+    def burn_then_train(*args):
+        end = time.process_time() + 0.5
+        while time.process_time() < end:
+            pass
+        return train_kg(*args)
+
+    monkeypatch.setattr(pipeline_mod, "train_kg", burn_then_train)
+    shutil.rmtree(workdir / "ablate")
+
+    def cpu(who):
+        usage = resource.getrusage(who)
+        return usage.ru_utime + usage.ru_stime
+
+    own, children = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_CHILDREN)
+    Pipeline(tiny_cfg(workdir)).stage_ablate()
+    own = cpu(resource.RUSAGE_SELF) - own
+    children = cpu(resource.RUSAGE_CHILDREN) - children
+    manifest = json.loads((workdir / "ablate" / "manifest.json").read_text())
+    assert children >= 1.0
+    assert manifest["cpu_s"] - own >= 0.9
+    assert manifest["cpu_s"] <= own + children + 0.002
 
 
 def test_cli_missing_authors_file_exit_2(tiny_run, tmp_path, capsys):
