@@ -23,7 +23,8 @@ from acadsearch.kg_embed import (KGTrainConfig, encode_triples, init_embeddings,
                                  load_kg_embeddings, train_kg)
 from acadsearch.lexical_index import (BM25Params, build_index, retrieve_topk,
                                       tokenize)
-from acadsearch.pipeline import Pipeline, _load_candidates, merge_config
+from acadsearch.config import merge_config
+from acadsearch.pipeline import Pipeline, _load_candidates
 from oracles import (central_difference, heldout_split,
                      link_prediction_mean_rank, naive_bm25_score, naive_map_at_k,
                      naive_mrr_at_k, naive_ndcg_at_k, reference_pagerank,
@@ -263,7 +264,7 @@ def test_c07_fusion_projection_and_grid_maximum(full_run):
     def two_stage_lists(split):
         records = _load_candidates(
             workdir / "score" / f"{split}_candidates.jsonl", corpus)
-        return pipeline._candidate_lists(records, corpus, "none")
+        return pipeline._candidate_lists(None, records, corpus, "none")
 
     lists = two_stage_lists("test")
     assert len(lists) >= 100

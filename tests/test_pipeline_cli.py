@@ -14,13 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from acadsearch import config as config_mod
 from acadsearch import pipeline as pipeline_mod
+from acadsearch import stagerun as stagerun_mod
 from acadsearch.cli import main
+from acadsearch.config import DEFAULT_CONFIG, load_config, merge_config
 from acadsearch.errors import (ConfigError, DataFormatError,
                                MissingArtifactError, StaleArtifactError)
 from acadsearch.kg_builder import EntityKind
-from acadsearch.pipeline import (DEFAULT_CONFIG, STAGES, Pipeline, load_config,
-                                 merge_config, stage_config_hash)
+from acadsearch.pipeline import Pipeline
+from acadsearch.stagerun import STAGES, stage_config_hash
 
 TINY = {
     "synth": {"n_docs": 600, "n_authors": 120, "n_venues": 8,
@@ -234,7 +237,7 @@ _LEGAL_EDGES = [
 
 
 def test_cli_out_of_range_config_value_exit_1(tmp_path, capsys):
-    """A value outside its key's rule in pipeline.CONFIG_RULES exits 1
+    """A value outside its key's rule in config.CONFIG_RULES exits 1
     naming the key, through --set and through a config file, before any
     stage writes; so does one that breaks a rule between two keys."""
     workdir = tmp_path / "w"
@@ -264,8 +267,8 @@ def test_cli_out_of_range_config_value_exit_1(tmp_path, capsys):
 
 def test_config_rules_cover_leaves_and_pass_defaults_and_edges():
     leaves = {name for name, _ in _leaves(DEFAULT_CONFIG)}
-    assert set(pipeline_mod.CONFIG_RULES) <= leaves
-    assert set(_ILLEGAL) == set(pipeline_mod.CONFIG_RULES)
+    assert set(config_mod.CONFIG_RULES) <= leaves
+    assert set(_ILLEGAL) == set(config_mod.CONFIG_RULES)
     Pipeline(merge_config(None))
     for name, value in _LEGAL_EDGES:
         Pipeline(load_config(None, [f"{name}={json.dumps(value)}"]))
@@ -481,13 +484,15 @@ _RECORDING: list[tuple[str, set[str]]] = []
 
 
 def _record_reads(event, args):
-    """Audit hook: workdir-relative paths opened for reading while a test
-    records, except the hashing of manifest inputs."""
+    """Audit hook: workdir-relative files opened for reading while a test
+    records, except the hashing of manifest inputs. A directory is opened
+    only to remove it, as a stage call removes the one it replaced."""
     if not _RECORDING or event != "open" or not isinstance(args[0], str):
         return
     root, opened = _RECORDING[-1]
     path, _, flags = args
-    if not path.startswith(root) or flags & (os.O_WRONLY | os.O_RDWR):
+    if (not path.startswith(root) or flags & (os.O_WRONLY | os.O_RDWR)
+            or os.path.isdir(path)):
         return
     frame = sys._getframe(1)
     while frame is not None:
@@ -506,10 +511,32 @@ def _count_opens(event, args):
         _COUNTING[-1].append(args[0])
 
 
+class _Cut(Exception):
+    """What _cut_after_first_write raises."""
+
+
+_CUTTING: list[dict] = []
+
+
+def _cut_after_first_write(event, args):
+    """Audit hook: while a test arms it, the second file opened for writing
+    under the armed root raises _Cut, so the stage call that opens it has
+    written one file; a forked child counts its own writes."""
+    if not _CUTTING or event != "open" or not isinstance(args[0], str):
+        return
+    armed = _CUTTING[-1]
+    path, _, flags = args
+    if path.startswith(armed["root"]) and flags & (os.O_WRONLY | os.O_RDWR):
+        armed["writes"] += 1
+        if armed["writes"] == 2:
+            raise _Cut(path)
+
+
 @functools.cache
 def _install_audit_hooks() -> None:
-    sys.addaudithook(_record_reads)   # both stay for the process; idle unless on
+    sys.addaudithook(_record_reads)   # all stay for the process; idle unless on
     sys.addaudithook(_count_opens)
+    sys.addaudithook(_cut_after_first_write)
 
 
 @contextlib.contextmanager
@@ -526,8 +553,8 @@ def _counting_opens():
 def _forget_inputs():
     """Drop the digests and parsed inputs this process remembers, so the
     next stage call opens every file it reads."""
-    pipeline_mod._digest_cache.clear()
-    pipeline_mod._memo.clear()
+    stagerun_mod._digest_cache.clear()
+    stagerun_mod._memo.clear()
 
 
 class _SectionReads(dict):
@@ -559,7 +586,7 @@ _AUDITED_CALLS = [(name, {}) for name in STAGES if name != "ingest"] + [
 def _run_audited_calls(cfg, workdir, cold: bool, force: bool):
     """Each audited stage call on ``workdir``, from a cold process state or
     a warm one: [(call, workdir files it opened, its manifest inputs,
-    config sections it read)]."""
+    config sections it read, attributes the Pipeline holds after it)]."""
     _install_audit_hooks()
     out = []
     for name, fusion in _AUDITED_CALLS:
@@ -579,7 +606,7 @@ def _run_audited_calls(cfg, workdir, cold: bool, force: bool):
         subdir = STAGES[name][0] + ("/transh" if name == "train-kg" else "")
         manifest = json.loads((workdir / subdir / "manifest.json").read_text())
         out.append(((name, fusion), opened, manifest["inputs"],
-                    pipeline.cfg.sections))
+                    pipeline.cfg.sections, set(vars(pipeline))))
     return out
 
 
@@ -590,7 +617,7 @@ def test_manifest_inputs_are_the_files_each_stage_opens(tiny_run, tmp_path):
     cfg, src_workdir = tiny_run
     workdir = tmp_path / "w"
     shutil.copytree(src_workdir, workdir)
-    for (name, fusion), opened, inputs, _ in _run_audited_calls(
+    for (name, fusion), opened, inputs, _, _ in _run_audited_calls(
             cfg, workdir, cold=True, force=True):
         reads = {p for p in opened if not p.endswith("/manifest.json")}
         assert reads == set(inputs), (name, fusion)
@@ -606,7 +633,7 @@ def test_stage_config_hashes_cover_the_sections_each_stage_reads(tiny_run,
     workdir = tmp_path / "w"
     shutil.copytree(src_workdir, workdir)
     read: dict[str, set[str]] = {}
-    for (name, _), _, _, sections in _run_audited_calls(
+    for (name, _), _, _, sections, _ in _run_audited_calls(
             cfg, workdir, cold=False, force=True):
         read.setdefault(name, set()).update(sections)
     assert read == {name: set(STAGES[name][1]) for name in read}
@@ -622,15 +649,28 @@ def test_warm_stage_calls_record_the_cold_manifest_inputs(tiny_run, tmp_path):
     cold = _run_audited_calls(cfg, workdir, cold=True, force=True)
     _settle()
     warm = _run_audited_calls(cfg, workdir, cold=False, force=False)
-    assert pipeline_mod._memo and pipeline_mod._digest_cache
-    for (call, _, cold_inputs, _), (_, _, warm_inputs, _) in zip(cold, warm):
+    assert stagerun_mod._memo and stagerun_mod._digest_cache
+    for (call, _, cold_inputs, _, _), (_, _, warm_inputs, _, _) in zip(cold,
+                                                                        warm):
         assert warm_inputs == cold_inputs, call
+
+
+def test_a_pipeline_keeps_no_state_of_a_stage_call(tiny_run, tmp_path):
+    """Every stage call keeps its reads, checks and digests in its own
+    StageRun: after each call the Pipeline holds only its config, ``force``
+    and the workdir."""
+    cfg, src_workdir = tiny_run
+    workdir = tmp_path / "w"
+    shutil.copytree(src_workdir, workdir)
+    for call, _, _, _, kept in _run_audited_calls(cfg, workdir, cold=False,
+                                                  force=False):
+        assert kept == {"cfg", "force", "workdir"}, call
 
 
 def _settle():
     """Wait until every file written so far is older than the racy margin,
     so its digest is kept."""
-    time.sleep(pipeline_mod._RACY_NS / 1e9 + 0.1)
+    time.sleep(stagerun_mod._RACY_NS / 1e9 + 0.1)
 
 
 def _settled_file(path: Path, data: bytes) -> Path:
@@ -644,15 +684,15 @@ def test_digest_changes_when_mtime_is_restored(tmp_path):
     changes ctime, so the file is hashed again."""
     path = _settled_file(tmp_path / "f.bin", b"a" * 4096)
     before = os.stat(path)
-    old = pipeline_mod._hash_file(path)
-    assert str(path) in pipeline_mod._digest_cache
+    old = stagerun_mod._hash_file(path)
+    assert str(path) in stagerun_mod._digest_cache
     path.write_bytes(b"b" * 4096)
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     after = os.stat(path)
     assert (after.st_size, after.st_mtime_ns) == (before.st_size,
                                                    before.st_mtime_ns)
-    assert pipeline_mod._hash_file(path) == pipeline_mod._hash_bytes(b"b" * 4096)
-    assert old != pipeline_mod._hash_file(path)
+    assert stagerun_mod._hash_file(path) == stagerun_mod._hash_bytes(b"b" * 4096)
+    assert old != stagerun_mod._hash_file(path)
 
 
 def test_digest_changes_when_file_is_replaced(tmp_path):
@@ -660,27 +700,27 @@ def test_digest_changes_when_file_is_replaced(tmp_path):
     new inode and is hashed again."""
     path = _settled_file(tmp_path / "f.bin", b"a" * 4096)
     before = os.stat(path)
-    old = pipeline_mod._hash_file(path)
+    old = stagerun_mod._hash_file(path)
     swap = tmp_path / "g.bin"
     swap.write_bytes(b"c" * 4096)
     os.utime(swap, ns=(before.st_atime_ns, before.st_mtime_ns))
     os.replace(swap, path)
     assert os.stat(path).st_ino != before.st_ino
-    assert pipeline_mod._hash_file(path) == pipeline_mod._hash_bytes(b"c" * 4096)
-    assert old != pipeline_mod._hash_file(path)
+    assert stagerun_mod._hash_file(path) == stagerun_mod._hash_bytes(b"c" * 4096)
+    assert old != stagerun_mod._hash_file(path)
 
 
 def test_racily_fresh_file_is_read_on_every_call(tmp_path, monkeypatch):
     """A file whose ctime lies within the racy margin is never kept: each
     call reads it again."""
-    monkeypatch.setattr(pipeline_mod, "_RACY_NS", 3600 * 10 ** 9)
+    monkeypatch.setattr(stagerun_mod, "_RACY_NS", 3600 * 10 ** 9)
     path = tmp_path / "f.bin"
     path.write_bytes(b"fresh")
     with _counting_opens() as opened:
-        digests = {pipeline_mod._hash_file(path) for _ in range(3)}
-    assert digests == {pipeline_mod._hash_bytes(b"fresh")}
+        digests = {stagerun_mod._hash_file(path) for _ in range(3)}
+    assert digests == {stagerun_mod._hash_bytes(b"fresh")}
     assert opened.count(str(path)) == 3
-    assert str(path) not in pipeline_mod._digest_cache
+    assert str(path) not in stagerun_mod._digest_cache
 
 
 def test_settled_inputs_are_read_once_per_process(tiny_run, tmp_path):
@@ -745,7 +785,7 @@ def test_memoized_inputs_are_not_changed_by_their_users(tiny_run, tmp_path):
         Pipeline(changed).stage_eval()
     fresh, _ = load_corpus(workdir / "corpus" / "corpus.jsonl",
                            workdir / "corpus" / "authors.jsonl")
-    for corpus, tag in ((fresh, "fresh"), (pipeline_mod._memo["corpus"][1], "memo")):
+    for corpus, tag in ((fresh, "fresh"), (stagerun_mod._memo["corpus"][1], "memo")):
         save_corpus(corpus, tmp_path / f"{tag}_corpus.jsonl")
         save_authors(list(corpus.authors.values()), tmp_path / f"{tag}_authors.jsonl")
     for name in ("corpus.jsonl", "authors.jsonl"):
@@ -753,7 +793,7 @@ def test_memoized_inputs_are_not_changed_by_their_users(tiny_run, tmp_path):
                 == (tmp_path / f"memo_{name}").read_bytes()), name
     for split in ("val", "test"):
         rel = f"score/{split}_candidates.jsonl"
-        remembered = pipeline_mod._memo[rel][1]
+        remembered = stagerun_mod._memo[rel][1]
         expected = pipeline_mod._load_candidates(workdir / rel, fresh)
         assert len(remembered) == len(expected)
         for mine, theirs in zip(remembered, expected):
@@ -1026,6 +1066,9 @@ def test_baseline_user_channels_through_pipeline(tiny_run, tmp_path, channel):
     metrics = json.loads((workdir / "eval" / "metrics.json").read_text())
     assert f"fused_{channel}" in metrics["systems"]
     assert (workdir / "eval" / f"run_fused_{channel}.txt").exists()
+    # a file the last call did not write stays, as in-place writes left it
+    assert ((workdir / "eval" / "run_fused_transh.txt").read_bytes()
+            == (src_workdir / "eval" / "run_fused_transh.txt").read_bytes())
     for value in metrics["systems"][f"fused_{channel}"].values():
         assert 0.0 <= value <= 1.0
 
@@ -1267,10 +1310,10 @@ def test_interrupted_ablate_stops_its_child(tiny_run, tmp_path, monkeypatch):
 def test_interrupt_while_ablate_waits_for_a_child_stops_every_child(
         tiny_run, tmp_path, monkeypatch):
     """SIGINT delivered to the ablate process itself, while it waits in
-    _join_variant for children that still train, raises KeyboardInterrupt
+    stagerun._join for children that still train, raises KeyboardInterrupt
     within seconds and leaves no child running."""
     workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
-    join_variant = pipeline_mod._join_variant
+    join = stagerun_mod._join
 
     def busy(*args, **kwargs):   # every child sleeps where it would train
         time.sleep(60)
@@ -1278,10 +1321,10 @@ def test_interrupt_while_ablate_waits_for_a_child_stops_every_child(
     def interrupt_the_wait(*args):
         threading.Timer(0.5, signal.pthread_kill,
                         (threading.main_thread().ident, signal.SIGINT)).start()
-        return join_variant(*args)
+        return join(*args)
 
     monkeypatch.setattr(pipeline_mod, "train_kg", busy)
-    monkeypatch.setattr(pipeline_mod, "_join_variant", interrupt_the_wait)
+    monkeypatch.setattr(stagerun_mod, "_join", interrupt_the_wait)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         Pipeline(tiny_cfg(workdir)).stage_ablate()
@@ -1425,6 +1468,167 @@ def test_cli_failed_stage_leaves_no_directory_it_created(tiny_run, tmp_path,
         assert main(["--config", str(cfg_path), "--quiet", stage]) == 2, stage
         assert "Traceback" not in capsys.readouterr().err
         assert [p.name for p in workdir.iterdir()] == ["corpus"], stage
+
+
+def _listing(workdir: Path) -> list[str]:
+    """The entries of ``workdir`` and of its kg_embed/."""
+    return sorted(p.relative_to(workdir).as_posix()
+                  for d in (workdir, workdir / "kg_embed") for p in d.iterdir())
+
+
+def test_stage_cut_after_its_first_write_leaves_its_directory_as_it_was(
+        tiny_run, tmp_path):
+    """Each stage, stopped right after its body wrote one file, leaves its
+    directory with the bytes and mtimes it had and no other directory
+    behind: a stage call swaps its outputs in whole or not at all."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    _install_audit_hooks()
+    for stage in (name for name in STAGES if name != "ingest"):
+        own = workdir / STAGES[stage][0] / ("transh" if stage == "train-kg" else "")
+        before = _snapshot(own), _listing(workdir)
+        _CUTTING.append({"root": str(workdir) + os.sep, "writes": 0})
+        try:
+            with pytest.raises(_Cut):
+                getattr(Pipeline(tiny_cfg(workdir)),
+                        "stage_" + stage.replace("-", "_"))()
+        finally:
+            _CUTTING.clear()
+        assert (_snapshot(own), _listing(workdir)) == before, stage
+
+
+def test_interrupted_score_leaves_its_candidates_whole(tiny_run, tmp_path,
+                                                      monkeypatch):
+    """A forced `score` interrupted after 5 BM25 retrievals leaves score/
+    as it was, so `tune` reads the whole candidate lists of the last
+    `score` that finished and tunes the weights it tuned before."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    before = _snapshot(workdir / "score")
+    retrieve_topk = pipeline_mod.retrieve_topk
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 5:
+            raise KeyboardInterrupt
+        return retrieve_topk(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "retrieve_topk", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        Pipeline(tiny_cfg(workdir), force=True).stage_score()
+    assert _snapshot(workdir / "score") == before
+    assert _listing(workdir) == _listing(tiny_run[1])
+    monkeypatch.undo()
+    Pipeline(tiny_cfg(workdir)).stage_tune()
+    assert ((workdir / "tune" / "lambdas.json").read_bytes()
+            == (tiny_run[1] / "tune" / "lambdas.json").read_bytes())
+
+
+def test_next_stage_call_removes_what_a_killed_call_left(tiny_run, tmp_path):
+    """The `.partial` and `.old` siblings that a killed call of a stage left
+    are removed by the stage's next call."""
+    workdir, _ = _copy_of_tiny_run(tiny_run, tmp_path)
+    for rel in ("score.partial", "score.old", "kg_embed/transh.partial",
+                "kg_embed/transh.old"):
+        (workdir / rel / "sub").mkdir(parents=True)
+        (workdir / rel / "sub" / "left.txt").write_text("left")
+    Pipeline(tiny_cfg(workdir)).stage_score()
+    Pipeline(tiny_cfg(workdir)).stage_train_kg()
+    assert _listing(workdir) == _listing(tiny_run[1])
+    for rel in ("score/val_candidates.jsonl", "kg_embed/transh/entities.bin"):
+        assert (workdir / rel).read_bytes() == (tiny_run[1] / rel).read_bytes()
+
+
+def test_swapped_in_files_are_hashed_again(tiny_run, tmp_path):
+    """Digests remembered for a settled stage directory are not returned for
+    the files that a later call of the stage swapped in under the same
+    paths."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    _settle()
+    old = {p: stagerun_mod._hash_file(p) for p in (workdir / "score").iterdir()}
+    assert set(map(str, old)) <= set(stagerun_mod._digest_cache)
+    assert main(["--config", str(cfg_path), "--quiet", "--force",
+                 "--set", "bm25.depth=20", "score"]) == 0
+    for path, digest in old.items():
+        new = stagerun_mod._hash_file(path)
+        assert new == stagerun_mod._hash_bytes(path.read_bytes()), path.name
+        assert new != digest, path.name
+
+
+@pytest.mark.parametrize("edit, code", [
+    pytest.param(lambda m: {**m, "stage": ["synth"]}, 2, id="stage-a-list"),
+    pytest.param(lambda m: {**m, "inputs": {**m["inputs"], "corpus": "0" * 64}},
+                 3, id="input-a-directory"),
+    pytest.param(lambda m: {**m, "inputs": {"../w/corpus/corpus.jsonl": "0"}},
+                 3, id="input-outside-the-workdir"),
+    pytest.param(lambda m: {**m, "inputs": {"/etc/passwd": "0"}}, 3,
+                 id="input-absolute"),
+    pytest.param(lambda m: {**m, "inputs": dict.fromkeys(m["inputs"], 7)}, 3,
+                 id="digest-a-number"),
+    pytest.param(lambda m: {**m, "inputs": list(m["inputs"])}, 3,
+                 id="inputs-a-list"),
+])
+def test_cli_corrupt_stage_manifest_exit_2_or_3(tiny_run, tmp_path, capsys,
+                                                edit, code):
+    """A stage manifest of another shape exits 2 as built by another
+    version, or 3 naming the manifest, never with a traceback."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    path = workdir / "dense" / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "embed"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"{path}: " if code == 3 else "built by another version") in err
+
+
+def test_cut_or_flipped_stage_manifest_exits_0_2_or_3(tiny_run, tmp_path,
+                                                      capsys):
+    """`embed` on dense/manifest.json cut at every byte, or with 1 to 3
+    bytes flipped at seeded places, exits 0, 2 or 3, names the manifest
+    when it exits 3, and never prints a traceback."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    path = workdir / "dense" / "manifest.json"
+    data = path.read_bytes()
+    rng = np.random.default_rng(11)
+    cases = [data[:n] for n in range(len(data))]
+    for _ in range(150):
+        flipped = bytearray(data)
+        for at in rng.integers(0, len(data), size=rng.integers(1, 4)):
+            flipped[at] ^= int(rng.integers(1, 256))
+        cases.append(bytes(flipped))
+    codes = set()
+    for case in cases:
+        path.write_bytes(case)
+        capsys.readouterr()
+        code = main(["--config", str(cfg_path), "--quiet", "embed"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err, (case, err)
+        assert code != 3 or f"{path}: " in err, (case, err)
+        codes.add(code)
+    assert codes == {0, 2, 3}
+
+
+def test_cli_ablate_child_killed_exit_1(tiny_run, tmp_path, capfd, monkeypatch):
+    """A child that ends without a result, here the +venue variant's, killed
+    by SIGKILL, makes ablate exit 1 naming the variant and the signal, with
+    no traceback, no process left running and ablate/ as it was."""
+    workdir, cfg_path = _copy_of_tiny_run(tiny_run, tmp_path)
+    train_kg = pipeline_mod.train_kg
+
+    def killed_on_plus_venue(triples, store, catalog, config):
+        if _is_plus_venue(catalog):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return train_kg(triples, store, catalog, config)
+
+    monkeypatch.setattr(pipeline_mod, "train_kg", killed_on_plus_venue)
+    before = _snapshot(workdir / "ablate")
+    capfd.readouterr()
+    assert main(["--config", str(cfg_path), "--quiet", "ablate"]) == 1
+    err = capfd.readouterr().err
+    assert "'+venue'" in err and "ended without a result (signal 9)" in err
+    assert "Traceback" not in err
+    assert _snapshot(workdir / "ablate") == before
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_copied_ingest_workdir_stays_fresh(tiny_run, tmp_path):
